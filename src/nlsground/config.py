@@ -36,7 +36,6 @@ class RunConfig:
     g: Nonlinearity
     beta: float | None
     beta_list: tuple[float, ...] | None
-    seed: int
     output_dir: Path
     solver: SolveConfig
     shooting: ShootingConfig
@@ -158,7 +157,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     return RunConfig(
-        grid=grid, f=f, g=g, beta=beta, beta_list=beta_list, seed=seed,
+        grid=grid, f=f, g=g, beta=beta, beta_list=beta_list,
         output_dir=Path(str(pairs.get("output.dir", "."))),
         solver=solver, shooting=shooting)
 

@@ -7,10 +7,12 @@ over that cone equals the constrained minimum over the manifold.  The
 solver therefore runs an unconstrained preconditioned descent on Φ
 (rejecting trial steps that leave the cone), projects the limit onto the
 manifold by the closed-form dilation, polishes to the exact discrete
-critical point with a damped Newton iteration on the full coupled system,
-and projects once more — the last projection moves the state by O(J) and
+critical point with the damped Newton iteration on the full coupled system
+(`nlsground.energy.newton`, the same one the scalar solver uses), and
+projects once more — the last projection moves the state by O(J) and
 restores J = 0 to roundoff while the Newton step has already made the PDE
-residual tiny.
+residual tiny.  A descent candidate is kept only if `certify`, the one
+a-posteriori certificate, accepts it; the CLI judges states with it too.
 
 The weighted gradient of Φ is
 
@@ -29,13 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .energy import (EnergyParams, EnergyReport, _terms, energy_report,
+from .energy import (EnergyParams, EnergyReport, _terms, energy_report, newton,
                      project_pohozaev, residuals)
 from .errors import (CertificationFailure, InfeasibleStart, NegativeBeta,
                      NoConvergence, NoProjection, ZeroState)
 from .grid import (Profile, RadialGrid, State, flux_laplacian_interior,
                    integrate, kinetic)
-from .nonlinearity import Nonlinearity, eval_df, eval_f
+from .nonlinearity import eval_f
+from .nonlinearity import eval_df  # noqa: F401  bound for perfbench tracer.PLAN
 from .scalar import ScalarGroundState, ShootingConfig, solve_scalar
 
 __all__ = ["SolveConfig", "GroundState", "Kind", "solve_coupled", "classify",
@@ -43,6 +46,9 @@ __all__ = ["SolveConfig", "GroundState", "Kind", "solve_coupled", "classify",
 
 STAGNATION_WINDOW = 50
 STAGNATION_DELTA = 1e-12
+CERT_TOL = 1e-6        # |J| and |I − K/3| against 1 + K
+CERT_RESIDUAL = 1e-5   # each relative PDE residual
+TIE_REL = 1e-12        # candidate energies this close count as equal
 
 
 class Kind(enum.Enum):
@@ -108,18 +114,23 @@ def classify(state: State, tol: float = 1e-6) -> Kind:
     return Kind.VECTOR
 
 
-def certify(gs: GroundState, params: EnergyParams) -> EnergyReport:
-    """Recompute all integrals and check the ground-state certificates."""
-    rep = energy_report(gs.state, params)
-    scale = 1e-6 * (1.0 + rep.K)
+def certify(gs: GroundState | State, params: EnergyParams) -> EnergyReport:
+    """Check the ground-state certificate of a `GroundState` or bare `State`.
+
+    Recomputes all integrals; returns the energy report, or raises
+    `CertificationFailure` naming the first clause violated.
+    """
+    state = gs.state if isinstance(gs, GroundState) else gs
+    rep = energy_report(state, params)
+    scale = CERT_TOL * (1.0 + rep.K)
     if not abs(rep.J) <= scale:
         raise CertificationFailure("pohozaev", f"|J|={abs(rep.J):.3e} > {scale:.3e}")
     if not abs(rep.I - rep.K / 3.0) <= scale:
         raise CertificationFailure(
             "energy_identity", f"|I-K/3|={abs(rep.I - rep.K / 3.0):.3e} > {scale:.3e}")
-    if not (rep.residual_u < 1e-5 and rep.residual_v < 1e-5):
-        raise CertificationFailure(
-            "residual", f"({rep.residual_u:.3e}, {rep.residual_v:.3e}) >= 1e-5")
+    if not (rep.residual_u < CERT_RESIDUAL and rep.residual_v < CERT_RESIDUAL):
+        raise CertificationFailure("residual", f"({rep.residual_u:.3e}, "
+                                   f"{rep.residual_v:.3e}) >= {CERT_RESIDUAL:g}")
     return rep
 
 
@@ -238,85 +249,10 @@ def _descend(state: State, params: EnergyParams, cfg: SolveConfig):
 # ----------------------------------------------------------------------
 # Newton polish of the full coupled discrete system
 
-def _coupled_newton(state: State, params: EnergyParams, max_iter: int = 40):
-    """Damped Newton on the interleaved (u, v) system; band (2, 2)."""
+def _coupled_newton(state: State, params: EnergyParams) -> State:
+    """Polish with the shared damped Newton of `nlsground.energy.newton`."""
     gr = state.grid
-    h2 = gr.h ** 2
-    fc = gr.flux
-    w = gr.w
-    N = gr.N
-    n = 2 * N          # unknowns u_0..u_{N-1}, v_0..v_{N-1}, interleaved
-    u = state.u.values.copy()
-    v = state.v.values.copy()
-    u[-1] = 0.0
-    v[-1] = 0.0
-    beta = params.beta
-
-    def fullres(uf, vf):
-        res = np.empty(n)
-        ru = np.empty(N)
-        rv = np.empty(N)
-        ru[0] = (-6.0 * (uf[1] - uf[0]) / h2 + uf[0]
-                 - eval_f(params.f, uf[0]) - beta * uf[0] * vf[0] ** 2)
-        rv[0] = (-6.0 * (vf[1] - vf[0]) / h2 + vf[0]
-                 - eval_f(params.g, vf[0]) - beta * vf[0] * uf[0] ** 2)
-        du = np.diff(uf)
-        dv = np.diff(vf)
-        ru[1:] = (-(fc[1:] * du[1:] - fc[:-1] * du[:-1]) / w[1:-1]
-                  + uf[1:-1] - eval_f(params.f, uf[1:-1])
-                  - beta * uf[1:-1] * vf[1:-1] ** 2)
-        rv[1:] = (-(fc[1:] * dv[1:] - fc[:-1] * dv[:-1]) / w[1:-1]
-                  + vf[1:-1] - eval_f(params.g, vf[1:-1])
-                  - beta * vf[1:-1] * uf[1:-1] ** 2)
-        res[0::2] = ru
-        res[1::2] = rv
-        return res
-
-    for _ in range(max_iter):
-        res = fullres(u, v)
-        rn = float(np.sqrt(res @ res))
-        umax = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1.0)
-        if rn <= 1e-12 * umax * math.sqrt(n):
-            break
-        lap_diag = np.empty(N)
-        lap_off = np.empty(N)          # coupling to node i+1
-        lap_sub = np.empty(N)          # coupling to node i-1 (index i>=1)
-        lap_diag[0] = 6.0 / h2
-        lap_off[0] = -6.0 / h2
-        lap_sub[0] = 0.0
-        lap_diag[1:] = (fc[1:N] + fc[0:N - 1]) / w[1:N]
-        lap_off[1:] = -fc[1:N] / w[1:N]
-        lap_sub[1:] = -fc[0:N - 1] / w[1:N]
-        su = 1.0 - eval_df(params.f, u[:N]) - beta * v[:N] ** 2
-        sv = 1.0 - eval_df(params.g, v[:N]) - beta * u[:N] ** 2
-        cross = -2.0 * beta * u[:N] * v[:N]
-        # interleaved band structure: (2i, 2i) u-diag, (2i+1, 2i+1) v-diag,
-        # (2i, 2i+1)/(2i+1, 2i) cross, (2i, 2i±2)/(2i+1, 2i+1±2) Laplacian
-        ab = np.zeros((5, n))
-        ab[2, 0::2] = lap_diag + su
-        ab[2, 1::2] = lap_diag + sv
-        ab[1, 1::2] = cross                 # A[2i, 2i+1]
-        ab[3, 0:n - 1:2] = cross            # A[2i+1, 2i]
-        ab[0, 2::2] = lap_off[:N - 1]       # A[2i, 2i+2]
-        ab[0, 3::2] = lap_off[:N - 1]       # A[2i+1, 2i+3]
-        ab[4, 0:n - 2:2] = lap_sub[1:]      # A[2i+2, 2i]
-        ab[4, 1:n - 2:2] = lap_sub[1:]      # A[2i+3, 2i+1]
-        step = solve_banded((2, 2), ab, res)
-        lam = 1.0
-        improved = False
-        for _ in range(30):
-            tu = u.copy()
-            tv = v.copy()
-            tu[:N] -= lam * step[0::2]
-            tv[:N] -= lam * step[1::2]
-            tn = float(np.linalg.norm(fullres(tu, tv)))
-            if tn < rn:
-                u, v = tu, tv
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
+    u, v = newton(gr, state.u.values, state.v.values, params)
     return State(Profile(gr, u), Profile(gr, v))
 
 
@@ -359,7 +295,7 @@ def _settle_on_manifold(state: State, params: EnergyParams) -> State:
     """
     K, M, P = _terms(state, params)
     J = 0.5 * K - 3.0 * (P - 0.5 * M)
-    if abs(J) <= 0.5e-6 * (1.0 + K):
+    if abs(J) <= 0.5 * CERT_TOL * (1.0 + K):
         return state
     settled, _ = project_pohozaev(state, params)
     return settled
@@ -416,26 +352,22 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
             st, _ = project_pohozaev(st, params)
             st = _coupled_newton(st, params)
             st = _settle_on_manifold(st, params)
-        except (NoConvergence, NoProjection, ZeroState):
-            continue
-        ru, rv = residuals(st, params)
-        K, M, P = _terms(st, params)
-        J = 0.5 * K - 3.0 * (P - 0.5 * M)
-        if not (ru < 1e-5 and rv < 1e-5 and abs(J) <= 1e-6 * (1.0 + K)):
+            rep = certify(st, params)
+        except (NoConvergence, NoProjection, ZeroState, CertificationFailure):
             continue
         converged += 1
         candidates.append(GroundState(
-            state=st, m=0.5 * K + 0.5 * M - P,
-            kind=classify(st, cfg.classify_tol),
-            residuals=(ru, rv), iterations=iters))
+            state=st, m=rep.I, kind=classify(st, cfg.classify_tol),
+            residuals=(rep.residual_u, rep.residual_v), iterations=iters))
     if feasible == 0:
         raise InfeasibleStart("all initializations have W <= 0")
     if converged == 0:
         raise NoConvergence("no descent run reached the residual target")
 
-    # deterministic reduction: energy, then vector preferred, then residual
-    def key(c: GroundState):
-        return (c.m, 0 if c.kind is Kind.VECTOR else 1, max(c.residuals))
-
-    best = min(candidates, key=key)
-    return best
+    # deterministic reduction: energies within TIE_REL of the least tie (runs
+    # that reach one state differ by roundoff); a tie prefers a vector state,
+    # then scalar_u over its mirror image scalar_v, then the smaller residual
+    m_min = min(c.m for c in candidates)
+    tied = [c for c in candidates if c.m <= m_min + TIE_REL * (1.0 + abs(m_min))]
+    return min(tied, key=lambda c: (c.kind is not Kind.VECTOR,
+                                    c.kind is Kind.SCALAR_V, max(c.residuals)))

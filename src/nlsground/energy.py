@@ -12,6 +12,10 @@ States with J = 0 form the constraint manifold; on it I = K/3.  The ray
 t -> (u(./t), v(./t)) has action (t/2)K - t^3 W, so whenever W > 0 it
 crosses the manifold exactly once, at t = sqrt(K/(6W)); projecting along
 dilations is therefore closed-form.
+
+The one discrete operator both solvers share lives here too: the first
+variation on raw node arrays, its banded Jacobian and the damped `newton`
+polish.  `nlsground.coupled.certify` judges the states it returns.
 """
 from __future__ import annotations
 
@@ -19,17 +23,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import NoProjection, ZeroState
 from .grid import (Profile, State, dilate, flux_laplacian_interior, integrate,
                    kinetic)
-from .nonlinearity import Nonlinearity, eval_F, eval_f
+from .nonlinearity import Nonlinearity, eval_F, eval_df, eval_f
 
 __all__ = [
     "EnergyParams", "EnergyReport", "energy_I", "pohozaev_J",
     "first_variation", "residuals", "project_pohozaev", "projected_energy",
-    "energy_report",
+    "energy_report", "newton",
 ]
+
+NEWTON_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -78,27 +85,95 @@ def pohozaev_J(state: State, params: EnergyParams) -> float:
     return 0.5 * K - 3.0 * (P - 0.5 * M)
 
 
-def _variation_one(grid, y, coupling_sq, nl: Nonlinearity, beta: float):
-    source = y - eval_f(nl, y) - beta * y * coupling_sq
-    out = np.empty(grid.N + 1)
-    out[1:-1] = -flux_laplacian_interior(grid, y) + source[1:-1]
-    out[0] = -6.0 * (y[1] - y[0]) / grid.h ** 2 + source[0]
-    out[-1] = 0.0  # Dirichlet node carries no variation
-    return out
+def _variation(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
+    """Discrete first variation of the action on raw node arrays.
+
+    Interior nodes use the flux-form Laplacian (the exact adjoint of the
+    discrete kinetic energy); the origin uses the symmetry-limit stencil;
+    the Dirichlet node N carries no variation.
+    """
+    def one(y, other_sq, nl: Nonlinearity):
+        source = y - eval_f(nl, y) - params.beta * y * other_sq
+        out = np.empty(grid.N + 1)
+        out[1:-1] = -flux_laplacian_interior(grid, y) + source[1:-1]
+        out[0] = -6.0 * (y[1] - y[0]) / grid.h ** 2 + source[0]
+        out[-1] = 0.0
+        return out
+
+    return one(u, v * v, params.f), one(v, u * u, params.g)
 
 
 def first_variation(state: State, params: EnergyParams):
-    """Pointwise L^2-gradient pair (-Δu + u - f(u) - βuv², same with u↔v, f→g).
+    """Pointwise L^2-gradient pair (-Δu + u - f(u) - βuv², same with u↔v, f→g)."""
+    return _variation(state.grid, state.u.values, state.v.values, params)
 
-    Interior nodes use the flux-form Laplacian (the exact adjoint of the
-    discrete kinetic energy); the origin uses the symmetry-limit stencil.
+
+def newton(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
+    """Damped Newton on the discrete system in (u, v); returns (u, v).
+
+    The unknowns are nodes 0..N-1 of both components, interleaved (unknown
+    2i is u_i, 2i+1 is v_i) so that the Jacobian of `_variation` is banded
+    (2, 2); node N keeps the Dirichlet zero it comes with.  With v = 0 and
+    β = 0 the v rows decouple and the iteration is the scalar polish of u.
+    It runs to the roundoff floor of the residual (the 1/h² stencil
+    amplifies cancellation noise, so no fixed absolute target is safe);
+    the caller certifies the result.
     """
-    gr = state.grid
-    u = state.u.values
-    v = state.v.values
-    ru = _variation_one(gr, u, v * v, params.f, params.beta)
-    rv = _variation_one(gr, v, u * u, params.g, params.beta)
-    return ru, rv
+    h2 = grid.h ** 2
+    fc = grid.flux
+    w = grid.w
+    N = grid.N
+    n = 2 * N
+    beta = params.beta
+    # the Laplacian part of the Jacobian does not change between steps
+    lap_diag = np.empty(N)
+    lap_diag[0] = 6.0 / h2
+    lap_diag[1:] = (fc[1:N] + fc[0:N - 1]) / w[1:N]
+    lap_off = np.empty(N - 1)      # row i, coupling to node i+1
+    lap_off[0] = -6.0 / h2
+    lap_off[1:] = -fc[1:N - 1] / w[1:N - 1]
+    lap_sub = -fc[0:N - 1] / w[1:N]  # row i+1, coupling to node i
+    lap = np.zeros((5, n))
+    lap[2, 0::2] = lap_diag             # A[2i, 2i]
+    lap[2, 1::2] = lap_diag             # A[2i+1, 2i+1]
+    lap[0, 2::2] = lap_off              # A[2i, 2i+2]
+    lap[0, 3::2] = lap_off              # A[2i+1, 2i+3]
+    lap[4, 0:n - 2:2] = lap_sub         # A[2i+2, 2i]
+    lap[4, 1:n - 2:2] = lap_sub         # A[2i+3, 2i+1]
+
+    def residual(uf, vf):
+        ru, rv = _variation(grid, uf, vf, params)
+        res = np.empty(n)
+        res[0::2] = ru[:N]
+        res[1::2] = rv[:N]
+        return res
+
+    for _ in range(NEWTON_MAX_ITER):
+        res = residual(u, v)
+        rn = float(np.sqrt(res @ res))
+        umax = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1.0)
+        if rn <= 1e-12 * umax * math.sqrt(n):
+            break
+        ab = lap.copy()
+        ab[2, 0::2] += 1.0 - eval_df(params.f, u[:N]) - beta * v[:N] ** 2
+        ab[2, 1::2] += 1.0 - eval_df(params.g, v[:N]) - beta * u[:N] ** 2
+        cross = -2.0 * beta * u[:N] * v[:N]
+        ab[1, 1::2] = cross                 # A[2i, 2i+1]
+        ab[3, 0:n - 1:2] = cross            # A[2i+1, 2i]
+        step = solve_banded((2, 2), ab, res)
+        lam = 1.0
+        for _ in range(30):
+            tu = u.copy()
+            tv = v.copy()
+            tu[:N] -= lam * step[0::2]
+            tv[:N] -= lam * step[1::2]
+            if float(np.linalg.norm(residual(tu, tv))) < rn:
+                u, v = tu, tv
+                break
+            lam *= 0.5
+        else:
+            break   # stalled at the floor; the caller's certificate decides
+    return u, v
 
 
 def _h1_norm(p: Profile) -> float:

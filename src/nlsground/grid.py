@@ -136,11 +136,6 @@ def kinetic(p: Profile) -> float:
     return float(p.grid.flux @ (du * du))
 
 
-def kinetic_values(grid: RadialGrid, values: np.ndarray) -> float:
-    du = np.diff(values)
-    return float(grid.flux @ (du * du))
-
-
 def laplacian(grid: RadialGrid, p: Profile) -> np.ndarray:
     """Pointwise radial Laplacian u'' + (2/r) u' (central stencil).
 

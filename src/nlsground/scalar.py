@@ -5,10 +5,10 @@ w(0) = a, w′(0) = 0 with fixed-step RK4 and classify the trajectory —
 overshooting amplitudes cross zero, undershooting ones turn back up —
 then bisect the amplitude between the two behaviors.  The converged
 trajectory is sampled onto the solve grid and polished to the exact
-discrete critical point by a damped Newton iteration on the tridiagonal
-finite-difference system, so the returned profile satisfies the grid's
-own Euler–Lagrange equations to roundoff rather than merely shadowing
-the continuum solution.
+discrete critical point by the coupled damped Newton iteration of
+`nlsground.energy.newton`, run on the pair (w, 0) with β = 0, so the
+returned profile satisfies the grid's own Euler–Lagrange equations to
+roundoff rather than merely shadowing the continuum solution.
 """
 from __future__ import annotations
 
@@ -17,13 +17,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
 
-from .energy import EnergyParams, energy_I, residuals
+from .energy import EnergyParams, energy_I, newton, residuals
 from .errors import (Blowup, BracketFailure, NoConvergence,
                      NonpositiveAmplitude)
 from .grid import Profile, RadialGrid, State
-from .nonlinearity import LOG_ENHANCED, POWER_SUM, Nonlinearity, eval_df, eval_f
+from .nonlinearity import LOG_ENHANCED, POWER_SUM, Nonlinearity
+from .nonlinearity import eval_df, eval_f  # noqa: F401  bound for perfbench tracer.PLAN
 
 __all__ = ["ShootingConfig", "ScalarGroundState", "Outcome", "ShootResult",
            "shoot", "solve_scalar"]
@@ -202,59 +203,10 @@ def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig, dt: float,
     return 0.5 * (lo + hi)
 
 
-def _newton_polish(grid: RadialGrid, vals: np.ndarray, nl: Nonlinearity,
-                   max_iter: int = 60) -> np.ndarray:
-    """Damped Newton on the discrete system; unknowns u_0..u_{N-1}, u_N = 0.
-
-    Row 0 is the symmetry-limit stencil at the origin, interior rows the
-    flux-form Laplacian (tridiagonal Jacobian, solved banded).
-    """
-    h2 = grid.h ** 2
-    fc = grid.flux
-    w = grid.w
-    u = vals.copy()
-    u[-1] = 0.0
-    n = grid.N  # unknowns 0..N-1
-
-    def fullres(uf):
-        res = np.empty(n)
-        res[0] = -6.0 * (uf[1] - uf[0]) / h2 + uf[0] - eval_f(nl, uf[0])
-        du = np.diff(uf)
-        res[1:] = (-(fc[1:] * du[1:] - fc[:-1] * du[:-1]) / w[1:-1]
-                   + uf[1:-1] - eval_f(nl, uf[1:-1]))
-        return res
-
-    # iterate to the roundoff floor of the residual (the 1/h² stencil
-    # amplifies cancellation noise, so no fixed absolute target is safe);
-    # the caller certifies the weighted residual afterwards
-    for _ in range(max_iter):
-        res = fullres(u)
-        rn = float(np.sqrt(res @ res))
-        if rn <= 1e-12 * (1.0 + float(np.max(np.abs(u)))) * math.sqrt(n):
-            break
-        dfu = eval_df(nl, u[:-1])
-        ab = np.zeros((3, n))
-        # row 0
-        ab[1, 0] = 6.0 / h2 + 1.0 - dfu[0]
-        ab[0, 1] = -6.0 / h2
-        # interior rows i = 1..N-1
-        ab[2, 0:n - 1] = -fc[:n - 1] / w[1:n]              # sub: d/d u_{i-1}
-        ab[1, 1:n] = (fc[1:n] + fc[:n - 1]) / w[1:n] + 1.0 - dfu[1:n]
-        ab[0, 2:n] = -fc[1:n - 1] / w[1:n - 1]             # super: d/d u_{i+1}
-        step = solve_banded((1, 1), ab, res)
-        lam = 1.0
-        improved = False
-        for _ in range(30):
-            trial = u.copy()
-            trial[:-1] = u[:-1] - lam * step
-            tn = float(np.linalg.norm(fullres(trial)))
-            if tn < rn:
-                u = trial
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break   # stalled at the floor; the final residual gate decides
+def _newton_polish(grid: RadialGrid, vals: np.ndarray,
+                   params: EnergyParams) -> np.ndarray:
+    """The coupled Newton on (w, 0) with β = 0; returns the polished w."""
+    u, _ = newton(grid, vals, np.zeros(grid.N + 1), params)
     return u
 
 
@@ -275,13 +227,13 @@ def solve_scalar(nl: Nonlinearity, grid: RadialGrid,
     m = min(len(rec), grid.N + 1)
     vals[:m] = rec[:m]
     vals[-1] = 0.0
-    vals = _newton_polish(grid, vals, nl)
+    params = EnergyParams(nl, nl, 0.0)
+    vals = _newton_polish(grid, vals, params)
     profile = Profile(grid, vals)
     if not np.all(vals[:-1] > 0.0):
         raise NoConvergence("polished profile lost positivity")
     if np.any(np.diff(vals) > 1e-12 * float(vals[0])):
         raise NoConvergence("polished profile lost monotonicity")
-    params = EnergyParams(nl, nl, 0.0)
     state = State(profile, Profile.zero(grid))
     res_u, _ = residuals(state, params)
     if not res_u < 1e-6:

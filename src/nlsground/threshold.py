@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coupled import GroundState, Kind, SolveConfig, solve_coupled
+from .coupled import Kind, SolveConfig, solve_coupled
 from .energy import EnergyParams, projected_energy
 from .errors import InvalidBracket, NumericalError
 from .grid import RadialGrid, State
@@ -57,10 +57,6 @@ def compare_energies(params: EnergyParams, u0: ScalarGroundState,
     lhs = projected_energy(pair, params)
     rhs = min(u0.action, v0.action)
     return lhs, rhs, lhs < rhs
-
-
-def _is_vector(gs: GroundState) -> bool:
-    return gs.kind is Kind.VECTOR
 
 
 def sweep(params_base: EnergyParams, beta_list: list[float], grid: RadialGrid,
@@ -130,8 +126,8 @@ def bisect_beta0(params_base: EnergyParams, bracket: tuple[float, float],
 
     def kind_at(beta: float) -> bool:
         params = EnergyParams(params_base.f, params_base.g, beta)
-        return _is_vector(solve_coupled(params, grid, cfg, shooting,
-                                        baselines=(base_u, base_v)))
+        return solve_coupled(params, grid, cfg, shooting,
+                             baselines=(base_u, base_v)).kind is Kind.VECTOR
 
     klo = kind_at(lo)
     khi = kind_at(hi)

@@ -9,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+import nlsground.cli as cli
 from nlsground.cli import main
+from nlsground.errors import CertificationFailure
 from nlsground.grid import RadialGrid, state_from_csv
 
 
@@ -98,6 +100,27 @@ output.dir = {tmp_path / 'out'}
     assert first == second
 
 
+def test_coupled_certification_failure_leaves_no_state(monkeypatch, tmp_path):
+    def reject(gs, params):
+        raise CertificationFailure("pohozaev", "rejected by the spy")
+
+    monkeypatch.setattr(cli, "certify", reject)
+    conf = write_conf(tmp_path / "c.conf", f"""
+f.family = cubic
+beta = 2.0
+grid.N = 1600
+solver.init_strategy = scalar_pair
+output.dir = {tmp_path / 'out'}
+""")
+    code, out, err = run_cli("coupled", conf)
+    assert code == 3
+    assert "certification failed" in err
+    out_dir = tmp_path / "out"
+    assert not (out_dir / "state.csv").exists()
+    assert not (out_dir / "state.report").exists()
+    assert not list(out_dir.glob("*.tmp"))
+
+
 def test_coupled_requires_beta(tmp_path):
     conf = write_conf(tmp_path / "c.conf", "f.family = cubic\n")
     code, out, err = run_cli("coupled", conf)
@@ -178,6 +201,22 @@ def test_check_rejects_perturbed_state(coupled_run, tmp_path):
     bad.write_text("\n".join(rows) + "\n")
     code, out, err = run_cli("check", conf, str(bad))
     assert code == 3
+
+
+def test_check_goes_through_certify(monkeypatch, coupled_run):
+    root, conf, _ = coupled_run
+    seen = []
+
+    def reject(state, params):
+        seen.append(state)
+        raise CertificationFailure("residual", "rejected by the spy")
+
+    monkeypatch.setattr(cli, "certify", reject)
+    code, out, err = run_cli("check", conf, str(root / "out" / "state.csv"))
+    assert code == 3
+    assert len(seen) == 1
+    assert re.search(r"^J=", out, re.M)
+    assert "certification failed" in err
 
 
 def test_check_scalar_profile(tmp_path):

@@ -16,7 +16,7 @@ def test_minimal_config_defaults():
     assert cfg.g is cfg.f
     assert cfg.beta is None
     assert cfg.beta_list is None
-    assert cfg.seed == 0
+    assert cfg.solver.seed == 0
     assert cfg.output_dir == Path(".")
     assert cfg.solver.init_strategy is InitStrategy.ALL
     assert cfg.shooting.a_max == 50.0
@@ -56,7 +56,6 @@ shooting.classify_radius = 15.0
     assert cfg.g.family == "log_enhanced"
     assert cfg.beta == 1.5
     assert cfg.beta_list == (0.5, 1.0, 2.0)
-    assert cfg.seed == 7
     assert cfg.output_dir == Path("runs/demo")
     assert cfg.solver.max_iters == 500
     assert cfg.solver.grad_tol == 1e-6

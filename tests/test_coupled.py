@@ -101,6 +101,24 @@ def test_certify_rejects_noncritical_state(coupled_beta2, grid):
     assert exc.value.clause == "residual"
 
 
+def test_descent_candidates_go_through_certify(monkeypatch, grid, cubic_nl,
+                                               cubic_scalar):
+    # the candidate filter is `certify` itself: when it rejects, no descent
+    # run survives, however good its state
+    params = EnergyParams(cubic_nl, cubic_nl, 2.0)
+    seen = []
+
+    def reject(gs, params):
+        seen.append(gs)
+        raise CertificationFailure("residual", "rejected by the spy")
+
+    monkeypatch.setattr(coupled_mod, "certify", reject)
+    with pytest.raises(NoConvergence):
+        solve_coupled(params, grid, SolveConfig(init_strategy="scalar_pair"),
+                      baselines=(cubic_scalar, cubic_scalar))
+    assert len(seen) == 1
+
+
 def test_negative_beta_rejected(grid, cubic_nl):
     for beta in (0.0, -1.0):
         params = EnergyParams(cubic_nl, cubic_nl, beta)
