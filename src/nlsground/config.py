@@ -144,14 +144,10 @@ def parse_config(text: str) -> RunConfig:
         if sorted(beta_list) != list(beta_list):
             raise ConfigError("beta_list must be sorted ascending")
 
-    seed = pairs.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
-
     solver_kw = _pick(pairs, _SOLVER_KEYS, lambda k: k.split(".", 1)[1])
     shoot_kw = _pick(pairs, _SHOOT_KEYS, lambda k: k.split(".", 1)[1])
     try:
-        solver = SolveConfig(seed=seed, **solver_kw)
+        solver = SolveConfig(seed=pairs.get("seed", 0), **solver_kw)
         shooting = ShootingConfig(**shoot_kw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -11,8 +11,9 @@ critical point with the damped Newton iteration on the full coupled system
 (`nlsground.energy.newton`, the same one the scalar solver uses), and
 projects once more — the last projection moves the state by O(J) and
 restores J = 0 to roundoff while the Newton step has already made the PDE
-residual tiny.  A descent candidate is kept only if `certify`, the one
-a-posteriori certificate, accepts it; the CLI judges states with it too.
+residual tiny.  Every candidate, the two scalar embeddings as much as each
+descent run, is kept only if `certify`, the one a-posteriori certificate,
+accepts it; the CLI judges states with it too.
 
 The weighted gradient of Φ is
 
@@ -21,6 +22,9 @@ The weighted gradient of Φ is
 (and symmetrically for v); at any point of the manifold a = b = 1, so G
 coincides with the PDE residual — criticality of Φ and of the action
 agree there, which is the natural-constraint property in discrete form.
+It is `nlsground.energy._variation` with these weights; the descent's
+(I − Δ_h) preconditioner is assembled once per run from the same −Δ_h
+bands as the Newton Jacobian.
 """
 from __future__ import annotations
 
@@ -31,14 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .energy import (EnergyParams, EnergyReport, _terms, energy_report, newton,
-                     project_pohozaev, residuals)
+from .energy import (EnergyParams, EnergyReport, _laplacian_band, _terms,
+                     _variation, energy_report, newton, project_pohozaev)
+from .energy import residuals  # noqa: F401  bound for perfbench tracer.PLAN
 from .errors import (CertificationFailure, InfeasibleStart, NegativeBeta,
                      NoConvergence, NoProjection, ZeroState)
-from .grid import (Profile, RadialGrid, State, flux_laplacian_interior,
-                   integrate, kinetic)
-from .nonlinearity import eval_f
-from .nonlinearity import eval_df  # noqa: F401  bound for perfbench tracer.PLAN
+from .grid import Profile, RadialGrid, State, integrate, kinetic
+from .nonlinearity import eval_df, eval_f  # noqa: F401  bound for perfbench tracer.PLAN
 from .scalar import ScalarGroundState, ShootingConfig, solve_scalar
 
 __all__ = ["SolveConfig", "GroundState", "Kind", "solve_coupled", "classify",
@@ -77,11 +80,18 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        for name in ("grad_tol", "step", "backtrack", "armijo", "classify_tol"):
+        for name, low in (("max_iters", 1), ("n_random", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in ("grad_tol", "step", "classify_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("backtrack", "armijo"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1)")
         if isinstance(self.init_strategy, str):
             object.__setattr__(self, "init_strategy",
                                InitStrategy(self.init_strategy))
@@ -135,59 +145,43 @@ def certify(gs: GroundState | State, params: EnergyParams) -> EnergyReport:
 
 
 # ----------------------------------------------------------------------
-# reduced objective: value and weighted gradient
+# reduced objective: value and weighted gradient, on raw node arrays
 
-def _phi_terms(state: State, params: EnergyParams):
-    K, M, P = _terms(state, params)
-    W = P - 0.5 * M
-    return K, W
+def _phi_terms(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
+    K, M, P = _terms(grid, u, v, params)
+    return K, P - 0.5 * M
 
 
 def _phi_value(K: float, W: float) -> float:
+    """Φ on the cone 0 < K, W < ∞ and +∞ off it (W = ∞ would read Φ = 0)."""
+    if not (0.0 < K < math.inf and 0.0 < W < math.inf):
+        return math.inf
     return (K / 3.0) ** 1.5 / math.sqrt(2.0 * W)
 
 
-def _phi_gradient(state: State, params: EnergyParams):
-    """Weighted gradient pair of Φ; entries at nodes 0 and N are zero."""
-    gr = state.grid
-    u = state.u.values
-    v = state.v.values
-    K, W = _phi_terms(state, params)
+def _phi_gradient(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams,
+                  K: float, W: float):
+    """Weighted gradient pair of Φ at (u, v) with terms K, W; 0 at nodes 0, N."""
     a = math.sqrt(K / (6.0 * W))
     b = _phi_value(K, W) / (2.0 * W)
-
-    def component(y, other_sq, nl):
-        g = np.zeros(gr.N + 1)
-        g[1:-1] = (-a * flux_laplacian_interior(gr, y)
-                   + b * (y - eval_f(nl, y) - params.beta * y * other_sq)[1:-1])
-        return g
-
-    gu = component(u, v * v, params.f)
-    gv = component(v, u * u, params.g)
-    return gu, gv, K, W
+    gu, gv = _variation(grid, u, v, params, a, b)
+    gu[0] = gv[0] = 0.0
+    return gu, gv
 
 
-def _precondition(grid: RadialGrid, g: np.ndarray) -> np.ndarray:
-    """Solve (I − Δ_h) d = g on nodes 1..N−1 with the center tie d_0 = d_1."""
-    n = grid.N - 1
-    fc = grid.flux
-    w = grid.w
-    ab = np.zeros((3, n))
-    # unknowns d_1..d_{N-1}; the tie folds the fc_0 flux out of row 1
-    ab[1, :] = 1.0 + (fc[1:grid.N] + fc[0:grid.N - 1]) / w[1:grid.N]
-    ab[1, 0] = 1.0 + fc[1] / w[1]
-    ab[0, 1:] = -fc[1:grid.N - 1] / w[1:grid.N - 1]
-    ab[2, :-1] = -fc[1:grid.N - 1] / w[2:grid.N]
-    d = np.zeros(grid.N + 1)
-    d[1:-1] = solve_banded((1, 1), ab, g[1:-1])
-    d[0] = d[1]
-    return d
+def _precondition(ab: np.ndarray, gu: np.ndarray, gv: np.ndarray):
+    """Solve (I − Δ_h) d = g for both components; `ab` ties d_0 = d_1."""
+    d = np.zeros((2, gu.size))
+    d[:, 1:-1] = solve_banded((1, 1), ab, np.stack((gu, gv), 1)[1:-1]).T
+    d[:, 0] = d[:, 1]
+    return d[0], d[1]
 
 
 def _descend(state: State, params: EnergyParams, cfg: SolveConfig):
     """Armijo-backtracking descent on Φ; returns (state, iterations, grad).
 
-    Stops on the gradient tolerance, on energy stagnation, or on gradient
+    Runs on raw node arrays and never leaves the cone 0 < K, W < ∞.  Stops
+    on the gradient tolerance, on energy stagnation, or on gradient
     stagnation.  The latter catches the near-flat valley the discretization
     opens along the dilation ray: the continuum Φ is exactly ray-invariant,
     so the discrete objective keeps a residual slope ~h² there that descent
@@ -199,17 +193,24 @@ def _descend(state: State, params: EnergyParams, cfg: SolveConfig):
     v = state.v.values.copy()
     u[0] = u[1]
     v[0] = v[1]
-    st = State(Profile(gr, u), Profile(gr, v))
-    K, W = _phi_terms(st, params)
-    if W <= 0.0:
-        raise InfeasibleStart("initial state has W <= 0")
+    K, W = _phi_terms(gr, u, v, params)
     phi = _phi_value(K, W)
+    if phi == math.inf:
+        raise InfeasibleStart("initial state lies off the cone 0 < K, W < inf")
+    # (I − Δ_h) on nodes 1..N−1; the tie d_0 = d_1 cancels row 1's flux to
+    # node 0, which leaves row 1's Laplacian diagonal at −upper[1]
+    diag, upper, lower = _laplacian_band(gr)
+    ab = np.zeros((3, gr.N - 1))
+    ab[0, 1:] = upper[1:]
+    ab[1, :] = 1.0 + diag[1:]
+    ab[1, 0] = 1.0 - upper[1]
+    ab[2, :-1] = lower[1:]
     history: list[float] = [phi]
     ghistory: list[float] = []
     it = 0
     gnorm = math.inf
     while it < cfg.max_iters:
-        gu, gv, K, W = _phi_gradient(st, params)
+        gu, gv = _phi_gradient(gr, u, v, params, K, W)
         gnorm = math.sqrt(float(gr.w @ (gu * gu) + gr.w @ (gv * gv)))
         ghistory.append(gnorm)
         if gnorm <= cfg.grad_tol:
@@ -218,32 +219,27 @@ def _descend(state: State, params: EnergyParams, cfg: SolveConfig):
                 and abs(ghistory[-STAGNATION_WINDOW - 1] - gnorm)
                 <= 1e-3 * gnorm):
             break
-        du = _precondition(gr, gu)
-        dv = _precondition(gr, gv)
+        du, dv = _precondition(ab, gu, gv)
         slope = float(gr.w @ (gu * du) + gr.w @ (gv * dv))
-        s = cfg.step
-        accepted = False
-        for _ in range(60):
-            tu = st.u.values - s * du
-            tv = st.v.values - s * dv
-            trial = State(Profile(gr, tu), Profile(gr, tv))
-            Kt, Wt = _phi_terms(trial, params)
-            if Wt > 0.0 and Kt > 0.0:
-                pt = _phi_value(Kt, Wt)
-                if pt <= phi - cfg.armijo * s * slope:
-                    st, phi = trial, pt
-                    accepted = True
-                    break
-            s *= cfg.backtrack
         it += 1
-        if not accepted:
-            break
+        s = cfg.step
+        for _ in range(60):
+            tu = u - s * du
+            tv = v - s * dv
+            Kt, Wt = _phi_terms(gr, tu, tv, params)
+            pt = _phi_value(Kt, Wt)
+            if pt <= phi - cfg.armijo * s * slope:
+                u, v, K, W, phi = tu, tv, Kt, Wt, pt
+                break
+            s *= cfg.backtrack
+        else:
+            break   # no Armijo step
         history.append(phi)
         if (len(history) > STAGNATION_WINDOW
                 and history[-STAGNATION_WINDOW - 1] - phi
                 < STAGNATION_DELTA * (1.0 + abs(phi))):
             break
-    return st, it, gnorm
+    return State(Profile(gr, u), Profile(gr, v)), it, gnorm
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +289,7 @@ def _settle_on_manifold(state: State, params: EnergyParams) -> State:
     nothing that matters.  On coarse grids the defect exceeds the budget
     and the trade goes the other way.
     """
-    K, M, P = _terms(state, params)
+    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
     J = 0.5 * K - 3.0 * (P - 0.5 * M)
     if abs(J) <= 0.5 * CERT_TOL * (1.0 + K):
         return state
@@ -301,18 +297,26 @@ def _settle_on_manifold(state: State, params: EnergyParams) -> State:
     return settled
 
 
-def _scalar_candidate(gs: ScalarGroundState, which: Kind, grid: RadialGrid,
-                      params: EnergyParams) -> GroundState:
-    zero = Profile.zero(grid)
-    if which is Kind.SCALAR_U:
-        st = State(gs.profile, zero)
-    else:
-        st = State(zero, gs.profile)
-    st = _settle_on_manifold(st, params)
-    K, M, P = _terms(st, params)
-    ru, rv = residuals(st, params)
-    return GroundState(state=st, m=0.5 * K + 0.5 * M - P, kind=which,
-                       residuals=(ru, rv), iterations=0)
+def _candidate(state: State, params: EnergyParams, cfg: SolveConfig,
+               iterations: int) -> GroundState | None:
+    """Settle, certify and classify one candidate; None if it fails."""
+    try:
+        state = _settle_on_manifold(state, params)
+        rep = certify(state, params)
+        kind = classify(state, cfg.classify_tol)
+    except (NoProjection, ZeroState, CertificationFailure):
+        return None
+    return GroundState(state=state, m=rep.I, kind=kind,
+                       residuals=(rep.residual_u, rep.residual_v),
+                       iterations=iterations)
+
+
+def scalar_baselines(params: EnergyParams, grid: RadialGrid,
+                     shooting: ShootingConfig):
+    """The scalar ground states of f and of g; g == f reuses the one solve."""
+    base_u = solve_scalar(params.f, grid, shooting)
+    return base_u, (base_u if params.g == params.f
+                    else solve_scalar(params.g, grid, shooting))
 
 
 def solve_coupled(params: EnergyParams, grid: RadialGrid,
@@ -322,43 +326,31 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
                   ) -> GroundState:
     """Lowest-energy state among scalar embeddings and coupled descent runs.
 
-    `baselines` lets callers (the β sweep) reuse the scalar solves, which
-    do not depend on β.
+    Every candidate goes through `certify`.  `baselines` lets callers (the
+    β sweep) reuse the scalar solves, which do not depend on β.
     """
     if not params.beta > 0.0:
         raise NegativeBeta(f"beta={params.beta}: need beta > 0")
-    if baselines is None:
-        base_u = solve_scalar(params.f, grid, shooting)
-        base_v = (base_u if params.g == params.f
-                  else solve_scalar(params.g, grid, shooting))
-    else:
-        base_u, base_v = baselines
+    base_u, base_v = baselines or scalar_baselines(params, grid, shooting)
 
-    candidates: list[GroundState] = [
-        _scalar_candidate(base_u, Kind.SCALAR_U, grid, params),
-        _scalar_candidate(base_v, Kind.SCALAR_V, grid, params),
-    ]
+    zero = Profile.zero(grid)
+    embeddings = (State(base_u.profile, zero), State(zero, base_v.profile))
+    candidates = [gs for gs in (_candidate(st, params, cfg, 0)
+                                for st in embeddings) if gs is not None]
 
-    inits = _initial_states(params, grid, cfg, base_u, base_v)
     feasible = 0
     converged = 0
-    for _, init in inits:
-        K, W = _phi_terms(init, params)
-        if W <= 0.0:
+    for _, init in _initial_states(params, grid, cfg, base_u, base_v):
+        try:
+            st, iters, _ = _descend(init, params, cfg)
+        except InfeasibleStart:
             continue
         feasible += 1
-        try:
-            st, iters, gnorm = _descend(init, params, cfg)
-            st, _ = project_pohozaev(st, params)
-            st = _coupled_newton(st, params)
-            st = _settle_on_manifold(st, params)
-            rep = certify(st, params)
-        except (NoConvergence, NoProjection, ZeroState, CertificationFailure):
-            continue
-        converged += 1
-        candidates.append(GroundState(
-            state=st, m=rep.I, kind=classify(st, cfg.classify_tol),
-            residuals=(rep.residual_u, rep.residual_v), iterations=iters))
+        st, _ = project_pohozaev(st, params)    # the descent keeps W > 0
+        gs = _candidate(_coupled_newton(st, params), params, cfg, iters)
+        if gs is not None:
+            converged += 1
+            candidates.append(gs)
     if feasible == 0:
         raise InfeasibleStart("all initializations have W <= 0")
     if converged == 0:

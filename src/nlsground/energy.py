@@ -14,8 +14,8 @@ crosses the manifold exactly once, at t = sqrt(K/(6W)); projecting along
 dilations is therefore closed-form.
 
 The one discrete operator both solvers share lives here too: the first
-variation on raw node arrays, its banded Jacobian and the damped `newton`
-polish.  `nlsground.coupled.certify` judges the states it returns.
+variation on raw node arrays, the −Δ_h bands of its Jacobian and the
+damped `newton` polish.  `nlsground.coupled.certify` judges its states.
 """
 from __future__ import annotations
 
@@ -63,44 +63,58 @@ class EnergyReport:
         return "\n".join(f"{k}={format(getattr(self, k), '.17g')}" for k in keys)
 
 
-def _terms(state: State, params: EnergyParams) -> tuple[float, float, float]:
-    """Raw integrals (K, M, P): Dirichlet energy, mass, potential."""
-    gr = state.grid
-    u = state.u.values
-    v = state.v.values
-    K = kinetic(state.u) + kinetic(state.v)
-    M = integrate(gr, u * u + v * v)
-    P = integrate(gr, eval_F(params.f, u) + eval_F(params.g, v)
+def _terms(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
+    """Raw integrals (K, M, P) of node arrays: Dirichlet energy, mass, potential."""
+    du = np.diff(u)
+    dv = np.diff(v)
+    K = float(grid.flux @ (du * du)) + float(grid.flux @ (dv * dv))
+    M = integrate(grid, u * u + v * v)
+    P = integrate(grid, eval_F(params.f, u) + eval_F(params.g, v)
                   + 0.5 * params.beta * (u * u) * (v * v))
     return K, M, P
 
 
 def energy_I(state: State, params: EnergyParams) -> float:
-    K, M, P = _terms(state, params)
+    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
     return 0.5 * K + 0.5 * M - P
 
 
 def pohozaev_J(state: State, params: EnergyParams) -> float:
-    K, M, P = _terms(state, params)
+    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
     return 0.5 * K - 3.0 * (P - 0.5 * M)
 
 
-def _variation(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
-    """Discrete first variation of the action on raw node arrays.
+def _variation(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams,
+               a: float = 1.0, b: float = 1.0):
+    """Discrete a·(−Δ_h y) + b·(y − f(y) − β y·other²) on raw node arrays.
 
-    Interior nodes use the flux-form Laplacian (the exact adjoint of the
-    discrete kinetic energy); the origin uses the symmetry-limit stencil;
-    the Dirichlet node N carries no variation.
+    With a = b = 1 it is the first variation of the action; the weights of
+    Φ's gradient give `nlsground.coupled._phi_gradient`.  Interior nodes
+    use the flux-form Laplacian (the exact adjoint of the discrete kinetic
+    energy); the origin uses the symmetry-limit stencil; the Dirichlet
+    node N carries no variation.
     """
     def one(y, other_sq, nl: Nonlinearity):
         source = y - eval_f(nl, y) - params.beta * y * other_sq
         out = np.empty(grid.N + 1)
-        out[1:-1] = -flux_laplacian_interior(grid, y) + source[1:-1]
-        out[0] = -6.0 * (y[1] - y[0]) / grid.h ** 2 + source[0]
+        out[1:-1] = -a * flux_laplacian_interior(grid, y) + b * source[1:-1]
+        out[0] = -a * 6.0 * (y[1] - y[0]) / grid.h ** 2 + b * source[0]
         out[-1] = 0.0
         return out
 
     return one(u, v * v, params.f), one(v, u * u, params.g)
+
+
+def _laplacian_band(grid):
+    """Bands of −Δ_h on nodes 0..N−1: (row i at node i, at i+1, row i+1 at i)."""
+    fc, w, N = grid.flux, grid.w, grid.N
+    diag = np.empty(N)
+    diag[0] = 6.0 / grid.h ** 2
+    diag[1:] = (fc[1:N] + fc[0:N - 1]) / w[1:N]
+    upper = np.empty(N - 1)
+    upper[0] = -6.0 / grid.h ** 2
+    upper[1:] = -fc[1:N - 1] / w[1:N - 1]
+    return diag, upper, -fc[0:N - 1] / w[1:N]
 
 
 def first_variation(state: State, params: EnergyParams):
@@ -119,27 +133,18 @@ def newton(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
     amplifies cancellation noise, so no fixed absolute target is safe);
     the caller certifies the result.
     """
-    h2 = grid.h ** 2
-    fc = grid.flux
-    w = grid.w
     N = grid.N
     n = 2 * N
     beta = params.beta
     # the Laplacian part of the Jacobian does not change between steps
-    lap_diag = np.empty(N)
-    lap_diag[0] = 6.0 / h2
-    lap_diag[1:] = (fc[1:N] + fc[0:N - 1]) / w[1:N]
-    lap_off = np.empty(N - 1)      # row i, coupling to node i+1
-    lap_off[0] = -6.0 / h2
-    lap_off[1:] = -fc[1:N - 1] / w[1:N - 1]
-    lap_sub = -fc[0:N - 1] / w[1:N]  # row i+1, coupling to node i
+    diag, upper, lower = _laplacian_band(grid)
     lap = np.zeros((5, n))
-    lap[2, 0::2] = lap_diag             # A[2i, 2i]
-    lap[2, 1::2] = lap_diag             # A[2i+1, 2i+1]
-    lap[0, 2::2] = lap_off              # A[2i, 2i+2]
-    lap[0, 3::2] = lap_off              # A[2i+1, 2i+3]
-    lap[4, 0:n - 2:2] = lap_sub         # A[2i+2, 2i]
-    lap[4, 1:n - 2:2] = lap_sub         # A[2i+3, 2i+1]
+    lap[2, 0::2] = diag                 # A[2i, 2i]
+    lap[2, 1::2] = diag                 # A[2i+1, 2i+1]
+    lap[0, 2::2] = upper                # A[2i, 2i+2]
+    lap[0, 3::2] = upper                # A[2i+1, 2i+3]
+    lap[4, 0:n - 2:2] = lower           # A[2i+2, 2i]
+    lap[4, 1:n - 2:2] = lower           # A[2i+3, 2i+1]
 
     def residual(uf, vf):
         ru, rv = _variation(grid, uf, vf, params)
@@ -200,7 +205,7 @@ def project_pohozaev(state: State, params: EnergyParams) -> tuple[State, float]:
     returned unchanged with t̄ = 1.  Raises ZeroState for the origin and
     NoProjection when W ≤ 0 (the dilation ray never meets the manifold).
     """
-    K, M, P = _terms(state, params)
+    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
     if K == 0.0 and M == 0.0:
         raise ZeroState("cannot project the zero state")
     W = P - 0.5 * M
@@ -212,7 +217,7 @@ def project_pohozaev(state: State, params: EnergyParams) -> tuple[State, float]:
         if t != 1.0:
             state = State(dilate(state.u, t), dilate(state.v, t))
             tbar *= t
-        K, M, P = _terms(state, params)
+        K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
         W = P - 0.5 * M
         J = 0.5 * K - 3.0 * W
         if abs(J) <= 1e-12 * (1.0 + K):
@@ -226,7 +231,7 @@ def projected_energy(state: State, params: EnergyParams) -> float:
     Dilation-invariant in exact arithmetic, since K scales like t and W
     like t³ along the ray.
     """
-    K, M, P = _terms(state, params)
+    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
     W = P - 0.5 * M
     if W <= 0.0:
         raise NoProjection(f"W={W:.6g} <= 0: dilation ray misses the manifold")
@@ -234,7 +239,7 @@ def projected_energy(state: State, params: EnergyParams) -> float:
 
 
 def energy_report(state: State, params: EnergyParams) -> EnergyReport:
-    K, M, P = _terms(state, params)
+    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
     ru, rv = residuals(state, params)
     return EnergyReport(I=0.5 * K + 0.5 * M - P,
                         J=0.5 * K - 3.0 * (P - 0.5 * M),

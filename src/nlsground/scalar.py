@@ -48,6 +48,11 @@ class ShootingConfig:
     classify_radius: float | None = None
 
     def __post_init__(self):
+        if (not isinstance(self.max_bisect, (int, np.integer))
+                or isinstance(self.max_bisect, bool)):
+            raise ValueError("max_bisect must be an integer")
+        if self.max_bisect < 1:
+            raise ValueError("max_bisect must be >= 1")
         if not (0.0 < self.a_min < self.a_max):
             raise ValueError("need 0 < a_min < a_max")
         if self.ode_step is not None and not self.ode_step > 0.0:
@@ -159,7 +164,10 @@ def shoot(nl: Nonlinearity, a: float, cfg: ShootingConfig = ShootingConfig()) ->
 def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig, dt: float,
                       r_max: float) -> float:
     def classify(a: float) -> Outcome:
-        res, _ = _integrate(nl, a, dt, r_max)
+        try:
+            res, _ = _integrate(nl, a, dt, r_max)
+        except Blowup:
+            return Outcome.CROSSES    # too large an amplitude: an overshoot
         return res.outcome
 
     lo, hi = cfg.a_min, cfg.a_max

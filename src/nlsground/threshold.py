@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coupled import Kind, SolveConfig, solve_coupled
+from .coupled import Kind, SolveConfig, scalar_baselines, solve_coupled
 from .energy import EnergyParams, projected_energy
 from .errors import InvalidBracket, NumericalError
 from .grid import RadialGrid, State
-from .scalar import ScalarGroundState, ShootingConfig, solve_scalar
+from .scalar import ScalarGroundState, ShootingConfig
+from .scalar import solve_scalar  # noqa: F401  bound for perfbench tracer.PLAN
 
 __all__ = ["SweepRow", "SweepResult", "compare_energies", "sweep",
            "bisect_beta0"]
@@ -74,9 +75,7 @@ def sweep(params_base: EnergyParams, beta_list: list[float], grid: RadialGrid,
     if not beta_list:
         return SweepResult(rows=(), beta0_bracket=None)
 
-    base_u = solve_scalar(params_base.f, grid, shooting)
-    base_v = (base_u if params_base.g == params_base.f
-              else solve_scalar(params_base.g, grid, shooting))
+    base_u, base_v = scalar_baselines(params_base, grid, shooting)
     scalar_min = min(base_u.action, base_v.action)
 
     rows: list[SweepRow] = []
@@ -120,9 +119,7 @@ def bisect_beta0(params_base: EnergyParams, bracket: tuple[float, float],
     if not tol > 0.0:
         raise InvalidBracket("tol must be positive")
 
-    base_u = solve_scalar(params_base.f, grid, shooting)
-    base_v = (base_u if params_base.g == params_base.f
-              else solve_scalar(params_base.g, grid, shooting))
+    base_u, base_v = scalar_baselines(params_base, grid, shooting)
 
     def kind_at(beta: float) -> bool:
         params = EnergyParams(params_base.f, params_base.g, beta)

@@ -104,6 +104,16 @@ def test_distinct_g_family():
     (" = 3\nf.family = cubic\n", "empty key"),
     ("f.family = @!\n", "cannot parse"),
     ("f.family = cubic\nsolver.init_strategy = bogus\n", "bogus"),
+    ("f.family = cubic\nsolver.n_random = 2.5\n", "n_random must be an integer"),
+    ("f.family = cubic\nsolver.n_random = -1\n", "n_random must be >= 0"),
+    ("f.family = cubic\nseed = -1\n", "seed must be >= 0"),
+    ("f.family = cubic\nsolver.max_iters = 2.5\n", "max_iters must be an integer"),
+    ("f.family = cubic\nsolver.max_iters = True\n", "max_iters must be an integer"),
+    ("f.family = cubic\nshooting.max_bisect = 2.5\n",
+     "max_bisect must be an integer"),
+    ("f.family = cubic\nshooting.max_bisect = 0\n", "max_bisect must be >= 1"),
+    ("f.family = cubic\nsolver.backtrack = 1.0\n", r"backtrack must be in \(0, 1\)"),
+    ("f.family = cubic\nsolver.armijo = 2\n", r"armijo must be in \(0, 1\)"),
 ])
 def test_rejected_configs(text, fragment):
     with pytest.raises(ConfigError) as exc:

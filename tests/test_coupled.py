@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import nlsground.coupled as coupled_mod
+import nlsground.energy as energy_mod
 from nlsground.coupled import (GroundState, InitStrategy, Kind, SolveConfig,
                                certify, classify, solve_coupled)
-from nlsground.energy import EnergyParams, project_pohozaev
+from nlsground.energy import EnergyParams, energy_report, project_pohozaev
 from nlsground.errors import (CertificationFailure, InfeasibleStart,
                               NegativeBeta, NoConvergence, ZeroState)
 from nlsground.grid import Profile, RadialGrid, State
@@ -116,7 +119,48 @@ def test_descent_candidates_go_through_certify(monkeypatch, grid, cubic_nl,
     with pytest.raises(NoConvergence):
         solve_coupled(params, grid, SolveConfig(init_strategy="scalar_pair"),
                       baselines=(cubic_scalar, cubic_scalar))
-    assert len(seen) == 1
+    assert len(seen) == 3     # the two scalar embeddings and the one run
+
+
+def test_returned_state_is_one_certify_accepted(monkeypatch, grid, cubic_nl,
+                                                cubic_scalar):
+    # at weak coupling a scalar embedding wins; it is a candidate like any
+    # descent run, so `certify` must have accepted the very state returned
+    params = EnergyParams(cubic_nl, cubic_nl, 0.5)
+    accepted = []
+
+    def spy(state, params):
+        rep = certify(state, params)
+        accepted.append(state)
+        return rep
+
+    monkeypatch.setattr(coupled_mod, "certify", spy)
+    gs = solve_coupled(params, grid, SolveConfig(init_strategy="scalar_pair"),
+                       baselines=(cubic_scalar, cubic_scalar))
+    assert gs.kind is Kind.SCALAR_U
+    assert any(gs.state is st for st in accepted)
+
+
+def test_descend_rejects_overflowing_potential(monkeypatch, cubic_nl):
+    # a potential that overflows gives W = inf, hence Φ = 0: such a trial
+    # step lies outside the cone and must be rejected, not accepted as the
+    # lowest Φ seen
+    g = RadialGrid(R=20.0, N=400)
+    w = solve_scalar(cubic_nl, g).profile.values
+    real = energy_mod.eval_F
+
+    def overflowing(nl, t):
+        out = real(nl, t)
+        if np.max(np.abs(t)) > 0.51 * w[0]:
+            out = np.array(out, dtype=float)
+            out[1:] = np.inf
+        return out
+
+    monkeypatch.setattr(energy_mod, "eval_F", overflowing)
+    params = EnergyParams(cubic_nl, cubic_nl, 2.0)
+    half = Profile(g, 0.5 * w)
+    st, _, _ = coupled_mod._descend(State(half, half), params, SolveConfig())
+    assert math.isfinite(energy_report(st, params).W)
 
 
 def test_negative_beta_rejected(grid, cubic_nl):

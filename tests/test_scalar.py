@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlsground.energy import EnergyParams, pohozaev_J
-from nlsground.errors import BracketFailure, NonpositiveAmplitude
+from nlsground.errors import Blowup, BracketFailure, NonpositiveAmplitude
 from nlsground.grid import Profile, RadialGrid, State, kinetic
 from nlsground.nonlinearity import cubic, power_sum
 from nlsground.scalar import (Outcome, ScalarGroundState, ShootingConfig,
@@ -90,3 +90,17 @@ def test_solve_scalar_small_grid_consistency():
     gs = solve_scalar(cubic(), g)
     assert gs.center_value == pytest.approx(CUBIC_CENTER, rel=5e-3)
     assert gs.action == pytest.approx(CUBIC_ACTION, rel=1e-3)
+
+
+@pytest.mark.parametrize("nl, N", [(power_sum([(1.0, 4.5)]), 400),
+                                   (power_sum([(1.0, 2.0), (0.5, 3.5)]), 160)])
+def test_blowup_counts_as_overshoot(nl, N):
+    # the RK4 trajectory from a = a_max = 50 leaves the trust region; the
+    # public `shoot` reports that, while the amplitude bracket treats it as
+    # an overshoot and still finds the ground state
+    g = RadialGrid(R=20.0, N=N)
+    with pytest.raises(Blowup):
+        shoot(nl, 50.0, ShootingConfig(ode_step=g.h / 4.0))
+    gs = solve_scalar(nl, g)
+    assert np.all(gs.profile.values[:-1] > 0.0)
+    assert gs.residual <= 1e-14
