@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes are part of the contract: 0 success, 1 configuration error,
-2 numerical failure, 3 certification failure, 4 partial results (some
-sweep rows failed).  All files are written atomically (temp + rename) so
+Exit codes are part of the contract: 0 success, 1 configuration or I/O
+error, 2 numerical failure, 3 certification failure, 4 partial results
+(some sweep rows failed).  Commands raise; `main` alone maps each failure
+to its code.  All files are written atomically (temp + rename) so
 a crashed run never leaves a half-written CSV behind.
 """
 from __future__ import annotations
@@ -53,11 +54,7 @@ def _atomic_write(path: Path, write) -> None:
 
 
 def cmd_scalar(cfg: RunConfig) -> int:
-    try:
-        gs = solve_scalar(cfg.f, cfg.grid, cfg.shooting)
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
+    gs = solve_scalar(cfg.f, cfg.grid, cfg.shooting)
     out = cfg.output_dir
     _atomic_write(out / "u0.csv", lambda p: write_profile_csv(gs.profile, p))
     params = EnergyParams(cfg.f, cfg.f, 0.0)
@@ -74,19 +71,10 @@ def cmd_scalar(cfg: RunConfig) -> int:
 
 def cmd_coupled(cfg: RunConfig) -> int:
     if cfg.beta is None:
-        print("error: beta is required for the coupled command", file=sys.stderr)
-        return _EXIT_CONFIG
+        raise ConfigError("beta is required for the coupled command")
     params = EnergyParams(cfg.f, cfg.g, cfg.beta)
-    try:
-        gs = solve_coupled(params, cfg.grid, cfg.solver, cfg.shooting)
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
-    try:
-        rep = certify(gs, params)
-    except CertificationFailure as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return _EXIT_CERT
+    gs = solve_coupled(params, cfg.grid, cfg.solver, cfg.shooting)
+    rep = certify(gs, params)   # before any write: exit 3 leaves no state
     out = cfg.output_dir
     _atomic_write(out / "state.csv", lambda p: write_state_csv(gs.state, p))
     body = "\n".join([rep.lines(),
@@ -111,16 +99,10 @@ def _write_sweep_csv(res: SweepResult, path) -> None:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.beta_list:
-        print("error: a non-empty beta_list is required for sweep",
-              file=sys.stderr)
-        return _EXIT_CONFIG
+        raise ConfigError("a non-empty beta_list is required for sweep")
     params = EnergyParams(cfg.f, cfg.g, cfg.beta_list[0])
-    try:
-        res = sweep(params, list(cfg.beta_list), cfg.grid, cfg.solver,
-                    cfg.shooting)
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
+    res = sweep(params, list(cfg.beta_list), cfg.grid, cfg.solver,
+                cfg.shooting)
     _atomic_write(cfg.output_dir / "sweep.csv", lambda p: _write_sweep_csv(res, p))
     if res.beta0_bracket is not None:
         lo, hi = res.beta0_bracket
@@ -137,16 +119,11 @@ def cmd_check(cfg: RunConfig, state_csv: str) -> int:
     try:
         state = state_from_csv(state_csv, cfg.grid)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+        raise ConfigError(f"cannot read state {state_csv}: {exc}") from exc
     beta = cfg.beta if cfg.beta is not None else 0.0
     params = EnergyParams(cfg.f, cfg.g, beta)
     print(energy_report(state, params).lines())
-    try:
-        certify(state, params)
-    except CertificationFailure as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return _EXIT_CERT
+    certify(state, params)
     return _EXIT_OK
 
 
@@ -169,19 +146,29 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("state_csv", help="path to a stored state CSV")
     args = parser.parse_args(argv)
 
+    # the one failure-to-exit-code mapping; CertificationFailure is a
+    # NumericalError, so it is caught first
     try:
         cfg = load_config(args.config)
+        if args.command == "scalar":
+            return cmd_scalar(cfg)
+        if args.command == "coupled":
+            return cmd_coupled(cfg)
+        if args.command == "sweep":
+            return cmd_sweep(cfg)
+        return cmd_check(cfg, args.state_csv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-
-    if args.command == "scalar":
-        return cmd_scalar(cfg)
-    if args.command == "coupled":
-        return cmd_coupled(cfg)
-    if args.command == "sweep":
-        return cmd_sweep(cfg)
-    return cmd_check(cfg, args.state_csv)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except CertificationFailure as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return _EXIT_CERT
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_NUMERIC
 
 
 if __name__ == "__main__":

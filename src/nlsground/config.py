@@ -22,11 +22,8 @@ __all__ = ["RunConfig", "parse_config", "load_config"]
 _GRID_KEYS = {"grid.R", "grid.N"}
 _NL_KEYS = {"family", "terms", "amplitude"}
 _TOP_KEYS = {"beta", "beta_list", "seed", "output.dir"}
-_SOLVER_KEYS = {"solver.max_iters", "solver.grad_tol", "solver.step",
-                "solver.backtrack", "solver.armijo", "solver.init_strategy",
-                "solver.classify_tol", "solver.n_random"}
-_SHOOT_KEYS = {"shooting.a_min", "shooting.a_max", "shooting.ode_step",
-               "shooting.max_bisect", "shooting.classify_radius"}
+_SOLVER_KEYS = {"solver.max_iters", "solver.init_strategy", "solver.n_random"}
+_SHOOT_KEYS = {"shooting.a_min", "shooting.a_max", "shooting.ode_step"}
 
 
 @dataclass(frozen=True)

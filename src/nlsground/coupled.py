@@ -49,6 +49,9 @@ __all__ = ["SolveConfig", "GroundState", "Kind", "solve_coupled", "classify",
 
 STAGNATION_WINDOW = 50
 STAGNATION_DELTA = 1e-12
+GRAD_TOL = 1e-7        # descent stops once the weighted ‖G‖ falls below
+ARMIJO = 1e-4          # sufficient-decrease fraction of the first-order slope
+BACKTRACK = 0.5        # step shrink per rejected Armijo trial
 CERT_TOL = 1e-6        # |J| and |I − K/3| against 1 + K
 CERT_RESIDUAL = 1e-5   # each relative PDE residual
 TIE_REL = 1e-12        # candidate energies this close count as equal
@@ -70,12 +73,7 @@ class InitStrategy(enum.Enum):
 @dataclass(frozen=True)
 class SolveConfig:
     max_iters: int = 20000
-    grad_tol: float = 1e-7
-    step: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
     init_strategy: InitStrategy | str = InitStrategy.ALL
-    classify_tol: float = 1e-6
     n_random: int = 2
     seed: int = 0
 
@@ -86,12 +84,6 @@ class SolveConfig:
                 raise ValueError(f"{name} must be an integer")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
-        for name in ("grad_tol", "step", "classify_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("backtrack", "armijo"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in (0, 1)")
         if isinstance(self.init_strategy, str):
             object.__setattr__(self, "init_strategy",
                                InitStrategy(self.init_strategy))
@@ -213,7 +205,7 @@ def _descend(state: State, params: EnergyParams, cfg: SolveConfig):
         gu, gv = _phi_gradient(gr, u, v, params, K, W)
         gnorm = math.sqrt(float(gr.w @ (gu * gu) + gr.w @ (gv * gv)))
         ghistory.append(gnorm)
-        if gnorm <= cfg.grad_tol:
+        if gnorm <= GRAD_TOL:
             break
         if (len(ghistory) > STAGNATION_WINDOW
                 and abs(ghistory[-STAGNATION_WINDOW - 1] - gnorm)
@@ -222,16 +214,16 @@ def _descend(state: State, params: EnergyParams, cfg: SolveConfig):
         du, dv = _precondition(ab, gu, gv)
         slope = float(gr.w @ (gu * du) + gr.w @ (gv * dv))
         it += 1
-        s = cfg.step
+        s = 1.0
         for _ in range(60):
             tu = u - s * du
             tv = v - s * dv
             Kt, Wt = _phi_terms(gr, tu, tv, params)
             pt = _phi_value(Kt, Wt)
-            if pt <= phi - cfg.armijo * s * slope:
+            if pt <= phi - ARMIJO * s * slope:
                 u, v, K, W, phi = tu, tv, Kt, Wt, pt
                 break
-            s *= cfg.backtrack
+            s *= BACKTRACK
         else:
             break   # no Armijo step
         history.append(phi)
@@ -297,13 +289,13 @@ def _settle_on_manifold(state: State, params: EnergyParams) -> State:
     return settled
 
 
-def _candidate(state: State, params: EnergyParams, cfg: SolveConfig,
+def _candidate(state: State, params: EnergyParams,
                iterations: int) -> GroundState | None:
     """Settle, certify and classify one candidate; None if it fails."""
     try:
         state = _settle_on_manifold(state, params)
         rep = certify(state, params)
-        kind = classify(state, cfg.classify_tol)
+        kind = classify(state)
     except (NoProjection, ZeroState, CertificationFailure):
         return None
     return GroundState(state=state, m=rep.I, kind=kind,
@@ -335,7 +327,7 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
 
     zero = Profile.zero(grid)
     embeddings = (State(base_u.profile, zero), State(zero, base_v.profile))
-    candidates = [gs for gs in (_candidate(st, params, cfg, 0)
+    candidates = [gs for gs in (_candidate(st, params, 0)
                                 for st in embeddings) if gs is not None]
 
     feasible = 0
@@ -347,7 +339,7 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
             continue
         feasible += 1
         st, _ = project_pohozaev(st, params)    # the descent keeps W > 0
-        gs = _candidate(_coupled_newton(st, params), params, cfg, iters)
+        gs = _candidate(_coupled_newton(st, params), params, iters)
         if gs is not None:
             converged += 1
             candidates.append(gs)

@@ -31,28 +31,23 @@ __all__ = ["ShootingConfig", "ScalarGroundState", "Outcome", "ShootResult",
 
 DECAY_FLOOR = 1e-9
 BLOWUP_LIMIT = 1e6
+MAX_BISECT = 200       # cap on amplitude halvings; width 1e-12 takes about 45
 
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Amplitude bracket and ODE controls for the shooting method.
+    """Amplitude bracket and ODE step for the shooting method.
 
-    `ode_step` and `classify_radius` default to h/4 and R of the grid in
-    play (20/16000 and 20 for a bare `shoot` call with no grid).
+    `ode_step` defaults to h/4 of the grid in play (20/16000 for a bare
+    `shoot` call with no grid).  Trajectories are classified out to the
+    grid's R (20 with no grid).
     """
 
     a_min: float = 0.1
     a_max: float = 50.0
     ode_step: float | None = None
-    max_bisect: int = 200
-    classify_radius: float | None = None
 
     def __post_init__(self):
-        if (not isinstance(self.max_bisect, (int, np.integer))
-                or isinstance(self.max_bisect, bool)):
-            raise ValueError("max_bisect must be an integer")
-        if self.max_bisect < 1:
-            raise ValueError("max_bisect must be >= 1")
         if not (0.0 < self.a_min < self.a_max):
             raise ValueError("need 0 < a_min < a_max")
         if self.ode_step is not None and not self.ode_step > 0.0:
@@ -143,9 +138,7 @@ def _integrate(nl: Nonlinearity, a: float, dt: float, r_max: float,
 
 
 def _effective(cfg: ShootingConfig, grid: RadialGrid | None):
-    r_max = cfg.classify_radius
-    if r_max is None:
-        r_max = grid.R if grid is not None else 20.0
+    r_max = grid.R if grid is not None else 20.0
     dt = cfg.ode_step
     if dt is None:
         dt = (grid.h if grid is not None else 20.0 / 4000.0) / 4.0
@@ -194,7 +187,7 @@ def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig, dt: float,
         if not found:
             raise BracketFailure(
                 f"no TurnsUp/Crosses transition in [{cfg.a_min}, {cfg.a_max}]")
-    for _ in range(cfg.max_bisect):
+    for _ in range(MAX_BISECT):
         if hi - lo <= 1e-12 * hi:
             break
         mid = 0.5 * (lo + hi)
@@ -207,7 +200,7 @@ def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig, dt: float,
             return mid
     else:
         raise NoConvergence(
-            f"bisection did not reach width 1e-12 in {cfg.max_bisect} steps")
+            f"bisection did not reach width 1e-12 in {MAX_BISECT} steps")
     return 0.5 * (lo + hi)
 
 
@@ -245,6 +238,9 @@ def solve_scalar(nl: Nonlinearity, grid: RadialGrid,
     state = State(profile, Profile.zero(grid))
     res_u, _ = residuals(state, params)
     if not res_u < 1e-6:
-        raise NoConvergence(f"scalar residual {res_u:.3e} >= 1e-6")
+        # a large w(0) (high power) means a core only a few h wide, which
+        # the grid under-resolves; name both so the cause is visible
+        raise NoConvergence(f"scalar residual {res_u:.3e} >= 1e-6 "
+                            f"(w(0)={vals[0]:.4g}, h={grid.h:g})")
     return ScalarGroundState(profile=profile, center_value=float(vals[0]),
                              action=energy_I(state, params), residual=res_u)

@@ -245,6 +245,22 @@ def test_check_bad_inputs(coupled_run, tmp_path):
     assert "node count" in err
 
 
+def test_unwritable_output_dir(tmp_path):
+    # output.dir under a regular file: the solve succeeds, the write cannot
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    conf = write_conf(tmp_path / "s.conf", f"""
+f.family = cubic
+grid.N = 800
+output.dir = {blocker / 'out'}
+""")
+    code, out, err = run_cli("scalar", conf)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_config_error_exit(tmp_path):
     conf = write_conf(tmp_path / "bad.conf", "nonsense = true\n")
     code, _, err = run_cli("scalar", conf)

@@ -20,8 +20,6 @@ def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(max_iters=0)
     with pytest.raises(ValueError):
-        SolveConfig(grad_tol=-1.0)
-    with pytest.raises(ValueError):
         SolveConfig(init_strategy="bogus")
     cfg = SolveConfig(init_strategy="scalar_pair")
     assert cfg.init_strategy is InitStrategy.SCALAR_PAIR

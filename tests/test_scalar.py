@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nlsground.energy import EnergyParams, pohozaev_J
-from nlsground.errors import Blowup, BracketFailure, NonpositiveAmplitude
+from nlsground.errors import (Blowup, BracketFailure, NoConvergence,
+                              NonpositiveAmplitude)
 from nlsground.grid import Profile, RadialGrid, State, kinetic
 from nlsground.nonlinearity import cubic, power_sum
 from nlsground.scalar import (Outcome, ScalarGroundState, ShootingConfig,
@@ -104,3 +105,10 @@ def test_blowup_counts_as_overshoot(nl, N):
     gs = solve_scalar(nl, g)
     assert np.all(gs.profile.values[:-1] > 0.0)
     assert gs.residual <= 1e-14
+
+
+def test_underresolved_core_names_amplitude_and_step():
+    # p = 4.9 puts w(0) near 14, a core ~a^{-(p-1)/2} ≈ 0.006 wide against
+    # h = 0.005: Newton stalls on the under-resolved grid (N = 16000 converges)
+    with pytest.raises(NoConvergence, match=r"w\(0\)=.*h=0\.005"):
+        solve_scalar(power_sum([(1.0, 4.9)]), RadialGrid(R=20.0, N=4000))
