@@ -23,8 +23,9 @@ The weighted gradient of Φ is
 coincides with the PDE residual — criticality of Φ and of the action
 agree there, which is the natural-constraint property in discrete form.
 It is `nlsground.energy._variation` with these weights; the descent's
-(I − Δ_h) preconditioner is assembled once per run from the same −Δ_h
-bands as the Newton Jacobian.
+(I − Δ_h) preconditioner is built from the same −Δ_h bands as the Newton
+Jacobian, factored once per run (LAPACK `gttrf`) and applied once per
+iteration (`gttrs`).
 """
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .energy import (EnergyParams, EnergyReport, _laplacian_band, _terms,
                      _variation, energy_report, newton, project_pohozaev)
@@ -161,10 +163,29 @@ def _phi_gradient(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams,
     return gu, gv
 
 
-def _precondition(ab: np.ndarray, gu: np.ndarray, gv: np.ndarray):
-    """Solve (I − Δ_h) d = g for both components; `ab` ties d_0 = d_1."""
+def _factor_preconditioner(grid):
+    """LU factors of (I − Δ_h) on nodes 1..N−1, for `_precondition`.
+
+    The tie d_0 = d_1 cancels row 1's flux to node 0, which leaves row 1's
+    Laplacian diagonal at −upper[1]; d_N = 0 is the Dirichlet node.
+    """
+    diag, upper, lower = _laplacian_band(grid)
+    d = 1.0 + diag[1:]
+    d[0] = 1.0 - upper[1]
+    *lu, info = dgttrf(lower[1:], d, upper[1:])
+    if info != 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return lu
+
+
+def _precondition(lu, gu: np.ndarray, gv: np.ndarray):
+    """Solve (I − Δ_h) d = g for both components with the factors `lu`."""
+    rhs = np.empty((2, gu.size - 2))
+    rhs[0] = gu[1:-1]
+    rhs[1] = gv[1:-1]
+    x, _ = dgttrs(*lu, rhs.T, overwrite_b=1)    # rhs.T is Fortran-ordered
     d = np.zeros((2, gu.size))
-    d[:, 1:-1] = solve_banded((1, 1), ab, np.stack((gu, gv), 1)[1:-1]).T
+    d[:, 1:-1] = x.T
     d[:, 0] = d[:, 1]
     return d[0], d[1]
 
@@ -189,14 +210,7 @@ def _descend(state: State, params: EnergyParams, cfg: SolveConfig):
     phi = _phi_value(K, W)
     if phi == math.inf:
         raise InfeasibleStart("initial state lies off the cone 0 < K, W < inf")
-    # (I − Δ_h) on nodes 1..N−1; the tie d_0 = d_1 cancels row 1's flux to
-    # node 0, which leaves row 1's Laplacian diagonal at −upper[1]
-    diag, upper, lower = _laplacian_band(gr)
-    ab = np.zeros((3, gr.N - 1))
-    ab[0, 1:] = upper[1:]
-    ab[1, :] = 1.0 + diag[1:]
-    ab[1, 0] = 1.0 - upper[1]
-    ab[2, :-1] = lower[1:]
+    lu = _factor_preconditioner(gr)
     history: list[float] = [phi]
     ghistory: list[float] = []
     it = 0
@@ -211,7 +225,11 @@ def _descend(state: State, params: EnergyParams, cfg: SolveConfig):
                 and abs(ghistory[-STAGNATION_WINDOW - 1] - gnorm)
                 <= 1e-3 * gnorm):
             break
-        du, dv = _precondition(ab, gu, gv)
+        # ‖G‖ is not finite when G is not, or when G·G overflows: scan then
+        if not math.isfinite(gnorm) and not (np.isfinite(gu).all()
+                                             and np.isfinite(gv).all()):
+            raise NoConvergence(f"non-finite descent gradient at iteration {it}")
+        du, dv = _precondition(lu, gu, gv)
         slope = float(gr.w @ (gu * du) + gr.w @ (gv * dv))
         it += 1
         s = 1.0

@@ -88,15 +88,23 @@ def cubic() -> Nonlinearity:
     return power_sum([(1.0, 3.0)])
 
 
+def _sum_terms(t, parts):
+    """Add `parts` in order onto the first one; zeros shaped like `t` if none."""
+    parts = iter(parts)
+    out = next(parts, None)
+    if out is None:
+        return np.zeros_like(t)
+    for part in parts:
+        out += part
+    return out
+
+
 def eval_f(nl: Nonlinearity, t):
     """Evaluate f(t); odd in t, vectorized over numpy arrays."""
     t = np.asarray(t, dtype=float)
     if nl.family == POWER_SUM:
         at = np.abs(t)
-        out = np.zeros_like(t)
-        for a, p in nl.terms:
-            out += a * at ** (p - 1.0)
-        out = out * t
+        out = _sum_terms(t, (a * at ** (p - 1.0) for a, p in nl.terms)) * t
     else:
         t2 = t * t
         out = nl.amplitude * (t * np.log1p(t2) + t * t2 / (1.0 + t2))
@@ -108,9 +116,8 @@ def eval_F(nl: Nonlinearity, t):
     t = np.asarray(t, dtype=float)
     if nl.family == POWER_SUM:
         at = np.abs(t)
-        out = np.zeros_like(t)
-        for a, p in nl.terms:
-            out += a / (p + 1.0) * at ** (p + 1.0)
+        out = _sum_terms(t, (a / (p + 1.0) * at ** (p + 1.0)
+                             for a, p in nl.terms))
     else:
         t2 = t * t
         out = 0.5 * nl.amplitude * t2 * np.log1p(t2)
@@ -122,9 +129,7 @@ def eval_df(nl: Nonlinearity, t):
     t = np.asarray(t, dtype=float)
     if nl.family == POWER_SUM:
         at = np.abs(t)
-        out = np.zeros_like(t)
-        for a, p in nl.terms:
-            out += a * p * at ** (p - 1.0)
+        out = _sum_terms(t, (a * p * at ** (p - 1.0) for a, p in nl.terms))
     else:
         t2 = t * t
         opt2 = 1.0 + t2

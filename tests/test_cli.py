@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nlsground.cli as cli
+import nlsground.coupled as coupled_mod
 from nlsground.cli import main
 from nlsground.errors import CertificationFailure
 from nlsground.grid import RadialGrid, state_from_csv
@@ -119,6 +120,24 @@ output.dir = {tmp_path / 'out'}
     assert not (out_dir / "state.csv").exists()
     assert not (out_dir / "state.report").exists()
     assert not list(out_dir.glob("*.tmp"))
+
+
+def test_coupled_non_finite_gradient_exits_2(monkeypatch, tmp_path):
+    def poisoned(grid, u, v, params, K, W):
+        return np.full(grid.N + 1, np.nan), np.full(grid.N + 1, np.nan)
+
+    monkeypatch.setattr(coupled_mod, "_phi_gradient", poisoned)
+    conf = write_conf(tmp_path / "c.conf", f"""
+f.family = cubic
+beta = 2.0
+grid.N = 1600
+output.dir = {tmp_path / 'out'}
+""")
+    code, out, err = run_cli("coupled", conf)
+    assert code == 2
+    assert err.startswith("error:") and "non-finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "state.csv").exists()
 
 
 def test_coupled_requires_beta(tmp_path):

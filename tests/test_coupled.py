@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import nlsground.coupled as coupled_mod
 import nlsground.energy as energy_mod
@@ -11,8 +12,10 @@ from nlsground.coupled import (GroundState, InitStrategy, Kind, SolveConfig,
                                certify, classify, solve_coupled)
 from nlsground.energy import EnergyParams, energy_report, project_pohozaev
 from nlsground.errors import (CertificationFailure, InfeasibleStart,
-                              NegativeBeta, NoConvergence, ZeroState)
-from nlsground.grid import Profile, RadialGrid, State
+                              NegativeBeta, NoConvergence, NumericalError,
+                              ZeroState)
+from nlsground.grid import (Profile, RadialGrid, State,
+                            flux_laplacian_interior)
 from nlsground.scalar import solve_scalar
 
 
@@ -159,6 +162,56 @@ def test_descend_rejects_overflowing_potential(monkeypatch, cubic_nl):
     half = Profile(g, 0.5 * w)
     st, _, _ = coupled_mod._descend(State(half, half), params, SolveConfig())
     assert math.isfinite(energy_report(st, params).W)
+
+
+def test_non_finite_gradient_is_a_numerical_error(monkeypatch, grid, cubic_nl,
+                                                  cubic_scalar):
+    def poisoned(grid, u, v, params, K, W):
+        return np.full(grid.N + 1, np.nan), np.full(grid.N + 1, np.nan)
+
+    monkeypatch.setattr(coupled_mod, "_phi_gradient", poisoned)
+    params = EnergyParams(cubic_nl, cubic_nl, 2.0)
+    with pytest.raises(NumericalError, match="iteration 0"):
+        solve_coupled(params, grid, SolveConfig(init_strategy="scalar_pair"),
+                      baselines=(cubic_scalar, cubic_scalar))
+
+
+def test_precondition_matches_dense_and_banded_references():
+    # (I − Δ_h) on nodes 0..N, assembled densely from the grid's own
+    # Laplacian stencil: row 0 is the tie d_0 = d_1, row N the Dirichlet
+    # d_N = 0, and the gradient is zero at both ends
+    g = RadialGrid(R=20.0, N=200)
+    n = g.N + 1
+    A = np.zeros((n, n))
+    A[0, :2] = (1.0, -1.0)
+    A[-1, -1] = 1.0
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        A[1:-1, j] = e[1:-1] - flux_laplacian_interior(g, e)
+    # the banded path the descent used before its factors were held
+    diag, upper, lower = energy_mod._laplacian_band(g)
+    ab = np.zeros((3, g.N - 1))
+    ab[0, 1:] = upper[1:]
+    ab[1, :] = 1.0 + diag[1:]
+    ab[1, 0] = 1.0 - upper[1]
+    ab[2, :-1] = lower[1:]
+
+    lu = coupled_mod._factor_preconditioner(g)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        gu, gv = rng.standard_normal((2, n))
+        gu[0] = gv[0] = gu[-1] = gv[-1] = 0.0
+        du, dv = coupled_mod._precondition(lu, gu.copy(), gv.copy())
+        banded = solve_banded((1, 1), ab, np.stack((gu, gv), 1)[1:-1])
+        for d, rhs, col in ((du, gu, 0), (dv, gv, 1)):
+            ref = np.linalg.solve(A, rhs)
+            assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert d[0] == d[1] and d[-1] == 0.0
+            np.testing.assert_allclose(d[1:-1], banded[:, col], rtol=1e-15,
+                                       atol=0.0)
+            np.testing.assert_allclose(d[0], banded[0, col], rtol=1e-15,
+                                       atol=0.0)
 
 
 def test_negative_beta_rejected(grid, cubic_nl):

@@ -48,6 +48,37 @@ def test_empty_power_sum_is_zero():
     t = np.linspace(-3.0, 3.0, 11)
     assert np.all(eval_f(nl, t) == 0.0)
     assert np.all(eval_F(nl, t) == 0.0)
+    assert np.all(eval_df(nl, t) == 0.0) and eval_df(nl, t).shape == t.shape
+    assert isinstance(eval_f(nl, 1.5), float) and eval_F(nl, -2.0) == 0.0
+
+
+def test_power_sum_matches_the_accumulator_loop():
+    # the sums start from their first term; adding it onto zeros was exact,
+    # so every value is bitwise that of the zero-initialised loop
+    def loop(nl, t):
+        t = np.asarray(t, dtype=float)
+        at = np.abs(t)
+        f = np.zeros_like(t)
+        F = np.zeros_like(t)
+        df = np.zeros_like(t)
+        for a, p in nl.terms:
+            f += a * at ** (p - 1.0)
+            F += a / (p + 1.0) * at ** (p + 1.0)
+            df += a * p * at ** (p - 1.0)
+        return f * t, F, df
+
+    arrays = (np.array([-3.2, -1.0, -0.0, 0.0, 1e-300, 0.5, 2.0, 7.3]),
+              np.linspace(-5.0, 5.0, 101))
+    for nl in (cubic(), power_sum([(1.0, 2.0), (0.5, 3.5)]),
+               power_sum([(2.0, 1.5), (0.3, 2.5), (1.0, 4.5)])):
+        for t in arrays:
+            for got, want in zip((eval_f(nl, t), eval_F(nl, t),
+                                  eval_df(nl, t)), loop(nl, t)):
+                assert np.array_equal(got, want)
+        for t in (0.0, -1.7, 2.3):
+            for got, want in zip((eval_f(nl, t), eval_F(nl, t),
+                                  eval_df(nl, t)), loop(nl, t)):
+                assert isinstance(got, float) and got == float(want)
 
 
 def test_validation_errors():
