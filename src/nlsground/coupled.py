@@ -5,15 +5,21 @@ action at the unique Pohozaev point of the dilation ray through (u,v); it
 is dilation-invariant, finite exactly on the cone W > 0, and its minimum
 over that cone equals the constrained minimum over the manifold.  The
 solver therefore runs an unconstrained preconditioned descent on Φ
-(rejecting trial steps that leave the cone), projects the limit onto the
-manifold by the closed-form dilation, polishes to the exact discrete
-critical point with the damped Newton iteration on the full coupled system
-(`nlsground.energy.newton`, the same one the scalar solver uses), and
-projects once more — the last projection moves the state by O(J) and
-restores J = 0 to roundoff while the Newton step has already made the PDE
-residual tiny.  Every candidate, the two scalar embeddings as much as each
-descent run, is kept only if `certify`, the one a-posteriori certificate,
-accepts it; the CLI judges states with it too.
+(rejecting trial steps that leave the cone), but only to find the basin:
+it runs in rounds of 50, 100, 200, … iterations, and after each round a
+copy of the iterate is projected onto the manifold by the closed-form
+dilation, polished to the exact discrete critical point with the damped
+Newton iteration on the full coupled system (`nlsground.energy.newton`,
+the same one the scalar solver uses), and projected once more — the last
+projection moves the state by O(J) and restores J = 0 to roundoff while
+the Newton step has already made the PDE residual tiny.  A minimizer on
+the manifold has Morse index 1 in the radial space, so the start ends on
+a polished state that `certify`, the one a-posteriori certificate,
+accepts and whose `nlsground.energy.morse_index` is 1; otherwise the
+descent resumes from where it was.  A start whose rounds keep polishing
+to one certified saddle (index ≥ 2) ends there with no candidate.  The
+two scalar embeddings pass the same two gates; the CLI judges states with
+`certify` too.
 
 The weighted gradient of Φ is
 
@@ -24,7 +30,7 @@ coincides with the PDE residual — criticality of Φ and of the action
 agree there, which is the natural-constraint property in discrete form.
 It is `nlsground.energy._variation` with these weights; the descent's
 (I − Δ_h) preconditioner is built from the same −Δ_h bands as the Newton
-Jacobian, factored once per run (LAPACK `gttrf`) and applied once per
+Jacobian, factored once per round (LAPACK `gttrf`) and applied once per
 iteration (`gttrs`).
 """
 from __future__ import annotations
@@ -38,7 +44,8 @@ from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .energy import (EnergyParams, EnergyReport, _laplacian_band, _terms,
-                     _variation, energy_report, newton, project_pohozaev)
+                     _variation, energy_report, morse_index, newton,
+                     project_pohozaev)
 from .energy import residuals  # noqa: F401  bound for perfbench tracer.PLAN
 from .errors import (CertificationFailure, InfeasibleStart, NegativeBeta,
                      NoConvergence, NoProjection, ZeroState)
@@ -57,6 +64,8 @@ BACKTRACK = 0.5        # step shrink per rejected Armijo trial
 CERT_TOL = 1e-6        # |J| and |I − K/3| against 1 + K
 CERT_RESIDUAL = 1e-5   # each relative PDE residual
 TIE_REL = 1e-12        # candidate energies this close count as equal
+ROUND = 50             # descent iterations before the first Newton handoff;
+                       # each later round doubles it
 
 
 class Kind(enum.Enum):
@@ -190,16 +199,17 @@ def _precondition(lu, gu: np.ndarray, gv: np.ndarray):
     return d[0], d[1]
 
 
-def _descend(state: State, params: EnergyParams, cfg: SolveConfig):
-    """Armijo-backtracking descent on Φ; returns (state, iterations, grad).
+def _descend(state: State, params: EnergyParams, max_iters: int):
+    """One round of Armijo descent on Φ; returns (state, iterations, grad).
 
     Runs on raw node arrays and never leaves the cone 0 < K, W < ∞.  Stops
-    on the gradient tolerance, on energy stagnation, or on gradient
-    stagnation.  The latter catches the near-flat valley the discretization
-    opens along the dilation ray: the continuum Φ is exactly ray-invariant,
-    so the discrete objective keeps a residual slope ~h² there that descent
-    can follow forever at a useless ~1e-11 per 50 iterations.  The Newton
-    polish that follows eliminates that residual gradient entirely.
+    after `max_iters` iterations, on the gradient tolerance, on energy
+    stagnation, or on gradient stagnation.  The latter catches the
+    near-flat valley the discretization opens along the dilation ray: the
+    continuum Φ is exactly ray-invariant, so the discrete objective keeps a
+    residual slope ~h² there that descent can follow forever at a useless
+    ~1e-11 per 50 iterations.  `_run_start` hands each round's iterate to
+    the Newton polish, which eliminates that residual gradient entirely.
     """
     gr = state.grid
     u = state.u.values.copy()
@@ -215,7 +225,7 @@ def _descend(state: State, params: EnergyParams, cfg: SolveConfig):
     ghistory: list[float] = []
     it = 0
     gnorm = math.inf
-    while it < cfg.max_iters:
+    while it < max_iters:
         gu, gv = _phi_gradient(gr, u, v, params, K, W)
         gnorm = math.sqrt(float(gr.w @ (gu * gu) + gr.w @ (gv * gv)))
         ghistory.append(gnorm)
@@ -321,6 +331,44 @@ def _candidate(state: State, params: EnergyParams,
                        iterations=iterations)
 
 
+def _run_start(init: State, params: EnergyParams, max_iters: int):
+    """Descend from `init` in rounds, handing each round's iterate to Newton.
+
+    Rounds run ROUND, 2·ROUND, 4·ROUND, … descent iterations, `max_iters`
+    in all.  After each, a copy of the iterate is projected, polished and
+    certified; a certified state of Morse index 1 ends the start.  Anything
+    else resumes the descent from the iterate as it was before Newton,
+    unless the descent itself stopped (a stop rule or the budget) or two
+    rounds in a row polished to certified saddles of one energy: that
+    start is stuck on the saddle (for f = g the Φ-flow keeps the symmetric
+    subspace invariant, so the scalar pair never leaves it).  Returns
+    (index-1 state or None, whether any polished state was certified).
+    """
+    state, done, length = init, 0, ROUND
+    certified = False
+    saddle = None
+    while True:
+        budget = min(length, max_iters - done)
+        state, iters, _ = _descend(state, params, budget)
+        done += iters
+        projected, _ = project_pohozaev(state, params)  # the descent keeps W > 0
+        gs = _candidate(_coupled_newton(projected, params), params, done)
+        if gs is None:
+            saddle = None
+        elif morse_index(gs.state, params) == 1:
+            return gs, True
+        elif (saddle is not None
+              and abs(gs.m - saddle) <= TIE_REL * (1.0 + abs(gs.m))):
+            return None, True
+        else:
+            # on the manifold the dilation direction is negative: index ≥ 2
+            certified = True
+            saddle = gs.m
+        if iters < budget or done >= max_iters:
+            return None, certified
+        length *= 2
+
+
 def scalar_baselines(params: EnergyParams, grid: RadialGrid,
                      shooting: ShootingConfig):
     """The scalar ground states of f and of g; g == f reuses the one solve."""
@@ -336,8 +384,9 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
                   ) -> GroundState:
     """Lowest-energy state among scalar embeddings and coupled descent runs.
 
-    Every candidate goes through `certify`.  `baselines` lets callers (the
-    β sweep) reuse the scalar solves, which do not depend on β.
+    Every candidate goes through `certify` and must have Morse index 1.
+    `baselines` lets callers (the β sweep) reuse the scalar solves, which
+    do not depend on β.
     """
     if not params.beta > 0.0:
         raise NegativeBeta(f"beta={params.beta}: need beta > 0")
@@ -345,26 +394,26 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
 
     zero = Profile.zero(grid)
     embeddings = (State(base_u.profile, zero), State(zero, base_v.profile))
-    candidates = [gs for gs in (_candidate(st, params, 0)
-                                for st in embeddings) if gs is not None]
+    candidates = [gs for gs in (_candidate(st, params, 0) for st in embeddings)
+                  if gs is not None and morse_index(gs.state, params) == 1]
 
     feasible = 0
     converged = 0
     for _, init in _initial_states(params, grid, cfg, base_u, base_v):
         try:
-            st, iters, _ = _descend(init, params, cfg)
+            gs, certified = _run_start(init, params, cfg.max_iters)
         except InfeasibleStart:
             continue
         feasible += 1
-        st, _ = project_pohozaev(st, params)    # the descent keeps W > 0
-        gs = _candidate(_coupled_newton(st, params), params, iters)
+        converged += certified
         if gs is not None:
-            converged += 1
             candidates.append(gs)
     if feasible == 0:
         raise InfeasibleStart("all initializations have W <= 0")
     if converged == 0:
         raise NoConvergence("no descent run reached the residual target")
+    if not candidates:
+        raise NoConvergence("no certified state has Morse index 1")
 
     # deterministic reduction: energies within TIE_REL of the least tie (runs
     # that reach one state differ by roundoff); a tie prefers a vector state,

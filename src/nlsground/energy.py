@@ -14,8 +14,9 @@ crosses the manifold exactly once, at t = sqrt(K/(6W)); projecting along
 dilations is therefore closed-form.
 
 The one discrete operator both solvers share lives here too: the first
-variation on raw node arrays, the −Δ_h bands of its Jacobian and the
-damped `newton` polish.  `nlsground.coupled.certify` judges its states.
+variation on raw node arrays, the −Δ_h bands of its Jacobian, the
+damped `newton` polish and the `morse_index` of the action's Hessian.
+`nlsground.coupled.certify` judges its states.
 """
 from __future__ import annotations
 
@@ -33,10 +34,15 @@ from .nonlinearity import Nonlinearity, eval_F, eval_df, eval_f
 __all__ = [
     "EnergyParams", "EnergyReport", "energy_I", "pohozaev_J",
     "first_variation", "residuals", "project_pohozaev", "projected_energy",
-    "energy_report", "newton",
+    "energy_report", "newton", "morse_index",
 ]
 
 NEWTON_MAX_ITER = 60
+# `morse_index` counts eigenvalues below −INDEX_TOL only.  A state with
+# relative PDE residual ε moves a zero mode by about ε (the cubic circle
+# at β = 1, N = 4000), and `coupled.certify` accepts ε < 1e-5; a genuine
+# crossing near the cubic threshold reads about 4|β − 1|.
+INDEX_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -65,8 +71,8 @@ class EnergyReport:
 
 def _terms(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
     """Raw integrals (K, M, P) of node arrays: Dirichlet energy, mass, potential."""
-    du = np.diff(u)
-    dv = np.diff(v)
+    du = u[1:] - u[:-1]
+    dv = v[1:] - v[:-1]
     K = float(grid.flux @ (du * du)) + float(grid.flux @ (dv * dv))
     M = integrate(grid, u * u + v * v)
     P = integrate(grid, eval_F(params.f, u) + eval_F(params.g, v)
@@ -115,6 +121,56 @@ def _laplacian_band(grid):
     upper[0] = -6.0 / grid.h ** 2
     upper[1:] = -fc[1:N - 1] / w[1:N - 1]
     return diag, upper, -fc[0:N - 1] / w[1:N]
+
+
+def morse_index(state: State, params: EnergyParams) -> int:
+    """Number of eigenvalues below −INDEX_TOL of the action's Hessian.
+
+    The unknowns are u and v on nodes 1..N−1 with the tie y_0 = y_1 (the
+    descent's space): the flux between nodes 0 and 1 drops out, and node 0
+    has no weight to fold into node 1 (w_0 = 0 at r = 0).  Per node the
+    Hessian H is the `_laplacian_band` stiffness plus
+    diag(w(1 − f′(u) − βv²)), the same for v, and the cross term −2βwuv.
+    The eigenvalues are those of H y = λ W y against the mass matrix
+    W = diag(w), which approximate the linearised operator's; by Sylvester
+    those below −INDEX_TOL are the negative pivots of the block LDLᵀ
+    recurrence of H + INDEX_TOL·W over the 2×2 node blocks.  A zero mode
+    (the circle of cubic vector states at β = 1) is not counted.  A ground
+    state has index 1.
+    """
+    gr = state.grid
+    N, beta = gr.N, params.beta
+    w = gr.w[1:N]
+    u = state.u.values[1:N]
+    v = state.v.values[1:N]
+    diag, upper, _ = _laplacian_band(gr)
+    stiff = w * diag[1:]
+    stiff[0] = -w[0] * upper[1]             # the tie drops the flux to node 0
+    pu = w * (1.0 + INDEX_TOL - eval_df(params.f, u) - beta * v * v)
+    pv = w * (1.0 + INDEX_TOL - eval_df(params.g, v) - beta * u * u)
+    pc = -2.0 * beta * w * u * v
+    # node i couples to node i−1 by e·I₂ with e = −flux_{i−1}; node 1 has none
+    e2 = np.zeros(N - 1)
+    e2[1:] = np.square(w[:-1] * upper[1:])
+    count = 0
+    da = db = dc = 0.0
+    det = 1.0
+    # memoryviews hand the loop Python floats without list copies
+    blocks = zip(memoryview(stiff + pu), memoryview(stiff + pv),
+                 memoryview(pc), memoryview(e2))
+    for a, b, c, s in blocks:
+        # D_i = A_i − e² D_{i−1}^{−1}, with D^{−1} = [[b, −c], [−c, a]] / det
+        s /= det
+        a -= s * db
+        b -= s * da
+        c += s * dc
+        det = a * b - c * c
+        if det < 0.0:
+            count += 1
+        elif a < 0.0:
+            count += 2
+        da, db, dc = a, b, c
+    return count
 
 
 def first_variation(state: State, params: EnergyParams):

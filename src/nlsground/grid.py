@@ -160,7 +160,7 @@ def flux_laplacian_interior(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     Defined by (4 pi / h)[r_{i+1/2}^2 (u_{i+1}-u_i) - r_{i-1/2}^2 (u_i-u_{i-1})] / w_i,
     so that d(kinetic)/du_i = -2 w_i (Lu)_i holds to roundoff for interior i.
     """
-    du = np.diff(values)
+    du = values[1:] - values[:-1]
     return (grid.flux[1:] * du[1:] - grid.flux[:-1] * du[:-1]) / grid.w[1:-1]
 
 

@@ -111,6 +111,7 @@ def test_descent_candidates_go_through_certify(monkeypatch, grid, cubic_nl,
     # run survives, however good its state
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     seen = []
+    rounds = _count_rounds(monkeypatch)
 
     def reject(gs, params):
         seen.append(gs)
@@ -120,7 +121,68 @@ def test_descent_candidates_go_through_certify(monkeypatch, grid, cubic_nl,
     with pytest.raises(NoConvergence):
         solve_coupled(params, grid, SolveConfig(init_strategy="scalar_pair"),
                       baselines=(cubic_scalar, cubic_scalar))
-    assert len(seen) == 3     # the two scalar embeddings and the one run
+    # the two scalar embeddings, then one Newton handoff per descent round
+    assert len(rounds) >= 2
+    assert len(seen) == 2 + len(rounds)
+
+
+def _count_rounds(monkeypatch):
+    """Record the iteration count of every `_descend` round."""
+    rounds = []
+    real = coupled_mod._descend
+
+    def counted(state, params, max_iters):
+        out = real(state, params, max_iters)
+        rounds.append(out[1])
+        return out
+
+    monkeypatch.setattr(coupled_mod, "_descend", counted)
+    return rounds
+
+
+def test_symmetric_start_ends_on_the_saddle(monkeypatch, grid, cubic_nl,
+                                           cubic_scalar):
+    # below β = 1 the scalar pair (w, w) cannot leave the symmetric subspace,
+    # and every handoff polishes to its index-2 vector state: two rounds on
+    # one saddle end the start, and the scalar_u embedding wins
+    params = EnergyParams(cubic_nl, cubic_nl, 0.99)
+    rounds = _count_rounds(monkeypatch)
+    gs = solve_coupled(params, grid, SolveConfig(init_strategy="scalar_pair"),
+                       baselines=(cubic_scalar, cubic_scalar))
+    assert len(rounds) == 2 and rounds[0] == coupled_mod.ROUND
+    assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
+    assert gs.state.u is cubic_scalar.profile
+
+
+def test_repeated_saddle_ends_a_moving_start(monkeypatch, grid, cubic_nl,
+                                             cubic_scalar):
+    # the random starts at β = 0.99 also polish to the symmetric saddle; their
+    # descent is still moving, so only the repeated saddle ends them, after
+    # two full rounds each
+    params = EnergyParams(cubic_nl, cubic_nl, 0.99)
+    rounds = _count_rounds(monkeypatch)
+    gs = solve_coupled(params, grid,
+                       SolveConfig(init_strategy="random_gaussians"),
+                       baselines=(cubic_scalar, cubic_scalar))
+    full = [coupled_mod.ROUND, 2 * coupled_mod.ROUND]
+    assert rounds == full + full
+    assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.01, 2.0])
+def test_returned_state_has_morse_index_one(monkeypatch, grid, cubic_nl,
+                                            cubic_scalar, beta):
+    params = EnergyParams(cubic_nl, cubic_nl, beta)
+    indices = []
+
+    def spy(state, params):
+        index = energy_mod.morse_index(state, params)
+        indices.append((state, index))
+        return index
+
+    monkeypatch.setattr(coupled_mod, "morse_index", spy)
+    gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
+    assert [i for st, i in indices if st is gs.state] == [1]
 
 
 def test_returned_state_is_one_certify_accepted(monkeypatch, grid, cubic_nl,
@@ -160,7 +222,8 @@ def test_descend_rejects_overflowing_potential(monkeypatch, cubic_nl):
     monkeypatch.setattr(energy_mod, "eval_F", overflowing)
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     half = Profile(g, 0.5 * w)
-    st, _, _ = coupled_mod._descend(State(half, half), params, SolveConfig())
+    st, _, _ = coupled_mod._descend(State(half, half), params,
+                                    SolveConfig().max_iters)
     assert math.isfinite(energy_report(st, params).W)
 
 
@@ -238,7 +301,8 @@ def test_descend_rejects_infeasible_state(grid, cubic_nl):
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     tiny = Profile.from_callable(grid, lambda r: 0.1 * np.exp(-r ** 2 / 2.0))
     with pytest.raises(InfeasibleStart):
-        coupled_mod._descend(State(tiny, tiny), params, SolveConfig())
+        coupled_mod._descend(State(tiny, tiny), params,
+                             SolveConfig().max_iters)
 
 
 @pytest.mark.parametrize("strategy", ["scalar_pair", "random_gaussians"])

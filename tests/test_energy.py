@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from nlsground.energy import (EnergyParams, energy_I, energy_report,
-                              first_variation, pohozaev_J, project_pohozaev,
-                              projected_energy, residuals)
+import nlsground.energy as energy_mod
+from nlsground.coupled import certify, solve_coupled
+from nlsground.energy import (INDEX_TOL, EnergyParams, energy_I,
+                              energy_report, first_variation, morse_index,
+                              pohozaev_J, project_pohozaev, projected_energy,
+                              residuals)
 from nlsground.errors import NoProjection, ZeroState
-from nlsground.grid import Profile, State, dilate, integrate, kinetic, laplacian
-from nlsground.nonlinearity import cubic, eval_f, power_sum
+from nlsground.grid import (Profile, RadialGrid, State, dilate, integrate,
+                            kinetic, laplacian)
+from nlsground.nonlinearity import (cubic, eval_df, eval_f, log_enhanced,
+                                    power_sum)
 from conftest import (AMP3_PROJECTED, AMP3_TBAR, GAUSS_INT, GAUSS_NARROW_INT,
                       GAUSS_R2_INT, gaussian_bumps)
 
@@ -163,3 +168,86 @@ def test_energy_report_fields_and_format(grid):
     assert set(parsed) == {"I", "J", "K", "W", "normH1_sq",
                            "residual_u", "residual_v"}
     assert float(parsed["I"]) == rep.I
+
+
+def _dense_hessian(state, params):
+    """The discrete action's Hessian on nodes 1..N−1 of u then v, y_0 = y_1,
+    and its mass matrix.
+
+    Assembled from the quadrature definitions alone: K = Σ flux_i
+    (y_{i+1} − y_i)² over the nodes 0..N, with node 0 tied to node 1 and
+    node N pinned to 0, and the pointwise weights of M/2 − P.
+    """
+    g = state.grid
+    N = g.N
+    tie = np.zeros((N + 1, N - 1))      # nodes 0..N from the unknowns
+    tie[1:N, :] = np.eye(N - 1)
+    tie[0, 0] = 1.0
+    diff = np.diff(np.eye(N + 1), axis=0) @ tie
+    stiffness = diff.T @ (g.flux[:, None] * diff)
+    u, v, beta = state.u.values, state.v.values, params.beta
+
+    def weight(q):
+        return tie.T @ ((g.w * q)[:, None] * tie)
+
+    huu = stiffness + weight(1.0 - eval_df(params.f, u) - beta * v * v)
+    hvv = stiffness + weight(1.0 - eval_df(params.g, v) - beta * u * u)
+    huv = weight(-2.0 * beta * u * v)
+    zero = np.zeros_like(huv)
+    mass = np.block([[weight(1.0), zero], [zero, weight(1.0)]])
+    return np.block([[huu, huv], [huv, hvv]]), mass
+
+
+def test_morse_index_matches_dense_eigenvalues():
+    g = RadialGrid(R=20.0, N=200)
+    rng = np.random.default_rng(11)
+    nls = (cubic(), log_enhanced(), power_sum([(1.0, 2.0), (0.5, 3.5)]))
+    counts = set()
+    for k in range(12):
+        u = gaussian_bumps(g, rng, 2, amp=(0.2, 2.5))
+        v = gaussian_bumps(g, rng, 1, amp=(0.0, 2.5)) if k % 3 else 0.0 * u
+        st = State(Profile(g, u), Profile(g, v))
+        params = EnergyParams(nls[k % 3], nls[(k + 1) % 3],
+                              float(rng.uniform(0.1, 3.0)))
+        hessian, mass = _dense_hessian(st, params)
+        scale = 1.0 / np.sqrt(np.diag(mass))
+        eig = np.linalg.eigvalsh(scale[:, None] * hessian * scale[None, :])
+        assert morse_index(st, params) == int(np.sum(eig < -INDEX_TOL))
+        counts.add(morse_index(st, params))
+    assert len(counts) >= 4     # the draws exercise several indices
+
+
+@pytest.mark.parametrize("beta, scalar_index, symmetric_index",
+                         [(0.5, 1, None), (0.99, 1, 2), (1.01, 2, 1),
+                          (2.0, 2, None)])
+def test_cubic_morse_index_table(grid, cubic_scalar, beta, scalar_index,
+                                 symmetric_index):
+    # (w, 0) loses its ground-state index at Λ = 1, where the symmetric
+    # vector state (w, w)/sqrt(1 + β) gains it
+    params = EnergyParams(cubic(), cubic(), beta)
+    w = cubic_scalar.profile
+    assert morse_index(State(w, Profile.zero(grid)), params) == scalar_index
+    if symmetric_index is not None:
+        sym = Profile(grid, w.values / math.sqrt(1.0 + beta))
+        assert morse_index(State(sym, sym), params) == symmetric_index
+
+
+def test_zero_mode_at_beta_one_is_not_counted(monkeypatch, grid, cubic_nl,
+                                              cubic_scalar):
+    # at β = 1 the cubic action is rotation invariant, so the vector state
+    # and (w, 0) both have a zero mode; a perturbation the certificate still
+    # accepts moves it by about its residual, to either side of 0
+    params = EnergyParams(cubic_nl, cubic_nl, 1.0)
+    gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
+    strict = set()
+    for st in (gs.state, State(cubic_scalar.profile, Profile.zero(grid))):
+        for scale in (1.0 - 1.5e-6, 1.0 + 1.5e-6):
+            moved, _ = project_pohozaev(
+                State(Profile(grid, scale * st.u.values),
+                      Profile(grid, scale * st.v.values)), params)
+            certify(moved, params)
+            assert morse_index(moved, params) == 1
+            with monkeypatch.context() as m:
+                m.setattr(energy_mod, "INDEX_TOL", 0.0)
+                strict.add(morse_index(moved, params))
+    assert strict == {1, 2}     # the zero mode reads on both sides of 0
