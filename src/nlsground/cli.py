@@ -54,7 +54,7 @@ def _atomic_write(path: Path, write) -> None:
 
 
 def cmd_scalar(cfg: RunConfig) -> int:
-    gs = solve_scalar(cfg.f, cfg.grid, cfg.shooting)
+    gs = solve_scalar(cfg.f, cfg.grid)
     out = cfg.output_dir
     _atomic_write(out / "u0.csv", lambda p: write_profile_csv(gs.profile, p))
     params = EnergyParams(cfg.f, cfg.f, 0.0)
@@ -73,7 +73,7 @@ def cmd_coupled(cfg: RunConfig) -> int:
     if cfg.beta is None:
         raise ConfigError("beta is required for the coupled command")
     params = EnergyParams(cfg.f, cfg.g, cfg.beta)
-    gs = solve_coupled(params, cfg.grid, cfg.solver, cfg.shooting)
+    gs = solve_coupled(params, cfg.grid, cfg.solver)
     rep = certify(gs, params)   # before any write: exit 3 leaves no state
     out = cfg.output_dir
     _atomic_write(out / "state.csv", lambda p: write_state_csv(gs.state, p))
@@ -101,8 +101,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.beta_list:
         raise ConfigError("a non-empty beta_list is required for sweep")
     params = EnergyParams(cfg.f, cfg.g, cfg.beta_list[0])
-    res = sweep(params, list(cfg.beta_list), cfg.grid, cfg.solver,
-                cfg.shooting)
+    res = sweep(params, list(cfg.beta_list), cfg.grid, cfg.solver)
     _atomic_write(cfg.output_dir / "sweep.csv", lambda p: _write_sweep_csv(res, p))
     if res.beta0_bracket is not None:
         lo, hi = res.beta0_bracket

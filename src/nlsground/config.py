@@ -15,7 +15,6 @@ from .coupled import SolveConfig
 from .errors import ConfigError
 from .grid import RadialGrid
 from .nonlinearity import Nonlinearity, cubic, log_enhanced, power_sum
-from .scalar import ShootingConfig
 
 __all__ = ["RunConfig", "parse_config", "load_config"]
 
@@ -23,7 +22,6 @@ _GRID_KEYS = {"grid.R", "grid.N"}
 _NL_KEYS = {"family", "terms", "amplitude"}
 _TOP_KEYS = {"beta", "beta_list", "seed", "output.dir"}
 _SOLVER_KEYS = {"solver.max_iters", "solver.init_strategy", "solver.n_random"}
-_SHOOT_KEYS = {"shooting.a_min", "shooting.a_max", "shooting.ode_step"}
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,6 @@ class RunConfig:
     beta_list: tuple[float, ...] | None
     output_dir: Path
     solver: SolveConfig
-    shooting: ShootingConfig
 
 
 def _parse_value(raw: str):
@@ -96,13 +93,9 @@ def _build_nonlinearity(pairs: dict[str, object], prefix: str) -> Nonlinearity |
     raise ConfigError(f"{prefix}.family: unknown family {family!r}")
 
 
-def _pick(pairs: dict[str, object], keys: set[str], rename) -> dict[str, object]:
-    return {rename(k): pairs[k] for k in keys if k in pairs}
-
-
 def parse_config(text: str) -> RunConfig:
     pairs = _parse_lines(text)
-    known = (_GRID_KEYS | _TOP_KEYS | _SOLVER_KEYS | _SHOOT_KEYS)
+    known = _GRID_KEYS | _TOP_KEYS | _SOLVER_KEYS
     unknown = [k for k in pairs
                if k not in known
                and not k.startswith("f.") and not k.startswith("g.")]
@@ -141,18 +134,16 @@ def parse_config(text: str) -> RunConfig:
         if sorted(beta_list) != list(beta_list):
             raise ConfigError("beta_list must be sorted ascending")
 
-    solver_kw = _pick(pairs, _SOLVER_KEYS, lambda k: k.split(".", 1)[1])
-    shoot_kw = _pick(pairs, _SHOOT_KEYS, lambda k: k.split(".", 1)[1])
+    solver_kw = {k.split(".", 1)[1]: pairs[k] for k in _SOLVER_KEYS if k in pairs}
     try:
         solver = SolveConfig(seed=pairs.get("seed", 0), **solver_kw)
-        shooting = ShootingConfig(**shoot_kw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     return RunConfig(
         grid=grid, f=f, g=g, beta=beta, beta_list=beta_list,
         output_dir=Path(str(pairs.get("output.dir", "."))),
-        solver=solver, shooting=shooting)
+        solver=solver)
 
 
 def load_config(path: str | Path) -> RunConfig:

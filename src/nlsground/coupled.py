@@ -9,17 +9,17 @@ solver therefore runs an unconstrained preconditioned descent on Φ
 it runs in rounds of 50, 100, 200, … iterations, and after each round a
 copy of the iterate is projected onto the manifold by the closed-form
 dilation, polished to the exact discrete critical point with the damped
-Newton iteration on the full coupled system (`nlsground.energy.newton`,
-the same one the scalar solver uses), and projected once more — the last
-projection moves the state by O(J) and restores J = 0 to roundoff while
-the Newton step has already made the PDE residual tiny.  A minimizer on
-the manifold has Morse index 1 in the radial space, so the start ends on
-a polished state that `certify`, the one a-posteriori certificate,
-accepts and whose `nlsground.energy.morse_index` is 1; otherwise the
-descent resumes from where it was.  A start whose rounds keep polishing
-to one certified saddle (index ≥ 2) ends there with no candidate.  The
-two scalar embeddings pass the same two gates; the CLI judges states with
-`certify` too.
+Newton iteration on the full coupled system (`nlsground.energy.newton`),
+and projected once more — the last projection moves the state by O(J)
+and restores J = 0 to roundoff while the Newton step has already made
+the PDE residual tiny.  A minimizer on the manifold has Morse index 1 in
+the radial space, so the start ends on a polished state that `certify`,
+the one a-posteriori certificate, accepts and whose
+`nlsground.energy.morse_index` is 1; otherwise the descent resumes from
+where it was.  A start whose rounds keep polishing to one certified
+saddle (index ≥ 2) ends there with no candidate.  The two scalar
+embeddings pass the same two gates; the CLI judges states with `certify`
+too.  `nlsground.scalar.solve_scalar` is one round of this on (w, 0).
 
 The weighted gradient of Φ is
 
@@ -51,7 +51,7 @@ from .errors import (CertificationFailure, InfeasibleStart, NegativeBeta,
                      NoConvergence, NoProjection, ZeroState)
 from .grid import Profile, RadialGrid, State, integrate, kinetic
 from .nonlinearity import eval_df, eval_f  # noqa: F401  bound for perfbench tracer.PLAN
-from .scalar import ScalarGroundState, ShootingConfig, solve_scalar
+from .scalar import ScalarGroundState, solve_scalar
 
 __all__ = ["SolveConfig", "GroundState", "Kind", "solve_coupled", "classify",
            "certify"]
@@ -369,17 +369,15 @@ def _run_start(init: State, params: EnergyParams, max_iters: int):
         length *= 2
 
 
-def scalar_baselines(params: EnergyParams, grid: RadialGrid,
-                     shooting: ShootingConfig):
+def scalar_baselines(params: EnergyParams, grid: RadialGrid):
     """The scalar ground states of f and of g; g == f reuses the one solve."""
-    base_u = solve_scalar(params.f, grid, shooting)
+    base_u = solve_scalar(params.f, grid)
     return base_u, (base_u if params.g == params.f
-                    else solve_scalar(params.g, grid, shooting))
+                    else solve_scalar(params.g, grid))
 
 
 def solve_coupled(params: EnergyParams, grid: RadialGrid,
                   cfg: SolveConfig = SolveConfig(),
-                  shooting: ShootingConfig = ShootingConfig(),
                   baselines: tuple[ScalarGroundState, ScalarGroundState] | None = None,
                   ) -> GroundState:
     """Lowest-energy state among scalar embeddings and coupled descent runs.
@@ -390,7 +388,7 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
     """
     if not params.beta > 0.0:
         raise NegativeBeta(f"beta={params.beta}: need beta > 0")
-    base_u, base_v = baselines or scalar_baselines(params, grid, shooting)
+    base_u, base_v = baselines or scalar_baselines(params, grid)
 
     zero = Profile.zero(grid)
     embeddings = (State(base_u.profile, zero), State(zero, base_v.profile))

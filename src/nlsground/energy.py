@@ -259,26 +259,31 @@ def project_pohozaev(state: State, params: EnergyParams) -> tuple[State, float]:
     the exact identity, the residual contracts by O(h²) per pass and two
     or three passes reach roundoff.  A state already on the manifold is
     returned unchanged with t̄ = 1.  Raises ZeroState for the origin and
-    NoProjection when W ≤ 0 (the dilation ray never meets the manifold).
+    NoProjection when W ≤ 0 (the dilation ray never meets the manifold),
+    before any pass: interpolating a core narrower than h can lose W > 0.
     """
-    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
-    if K == 0.0 and M == 0.0:
-        raise ZeroState("cannot project the zero state")
-    W = P - 0.5 * M
-    if W <= 0.0:
-        raise NoProjection(f"W={W:.6g} <= 0: dilation ray misses the manifold")
+    K, W = _cone_terms(state, params)
     tbar = 1.0
     for _ in range(12):
         t = math.sqrt(K / (6.0 * W))
         if t != 1.0:
             state = State(dilate(state.u, t), dilate(state.v, t))
             tbar *= t
-        K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
-        W = P - 0.5 * M
-        J = 0.5 * K - 3.0 * W
-        if abs(J) <= 1e-12 * (1.0 + K):
+        K, W = _cone_terms(state, params)
+        if abs(0.5 * K - 3.0 * W) <= 1e-12 * (1.0 + K):
             break
     return state, tbar
+
+
+def _cone_terms(state: State, params: EnergyParams) -> tuple[float, float]:
+    """(K, W) of a state whose dilation ray meets the manifold."""
+    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
+    if K == 0.0 and M == 0.0:
+        raise ZeroState("cannot project the zero state")
+    W = P - 0.5 * M
+    if not W > 0.0:
+        raise NoProjection(f"W={W:.6g} <= 0: dilation ray misses the manifold")
+    return K, W
 
 
 def projected_energy(state: State, params: EnergyParams) -> float:

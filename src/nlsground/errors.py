@@ -52,7 +52,8 @@ class Blowup(NumericalError):
 
 
 class BracketFailure(NumericalError):
-    """No sign change of the shooting outcome inside [a_min, a_max]."""
+    """No amplitude to start from: no shooting sign change inside
+    [a_min, a_max], or no start amplitude of `solve_scalar` gives W > 0."""
 
 
 class NoConvergence(NumericalError):

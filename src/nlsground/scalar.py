@@ -1,14 +1,15 @@
 """Radial ground state of the single equation −Δw + w = f(w) on ℝ³.
 
-Shooting in the radius: integrate w″ + (2/r)w′ − w + f(w) = 0 from
-w(0) = a, w′(0) = 0 with fixed-step RK4 and classify the trajectory —
-overshooting amplitudes cross zero, undershooting ones turn back up —
-then bisect the amplitude between the two behaviors.  The converged
-trajectory is sampled onto the solve grid and polished to the exact
-discrete critical point by the coupled damped Newton iteration of
-`nlsground.energy.newton`, run on the pair (w, 0) with β = 0, so the
-returned profile satisfies the grid's own Euler–Lagrange equations to
-roundoff rather than merely shadowing the continuum solution.
+The scalar problem is the coupled one at v = 0: `solve_scalar` runs the
+pipeline of `nlsground.coupled` on (w, 0) with g = f and β = 0.  One
+round of the descent on the projected action Φ finds the basin; the
+dilation onto the Pohozaev manifold and the damped Newton iteration of
+`nlsground.energy.newton` then reach the grid's discrete critical point.
+
+`shoot` is the independent RK4 oracle: it integrates
+w″ + (2/r)w′ − w + f(w) = 0 from w(0) = a, w′(0) = 0 and classifies the
+trajectory — overshooting amplitudes cross zero, undershooting ones turn
+back up.  `_bisect_amplitude` bisects between the two behaviors.
 """
 from __future__ import annotations
 
@@ -19,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
 
-from .energy import EnergyParams, energy_I, newton, residuals
+from . import coupled
+from .energy import (EnergyParams, energy_I, morse_index, newton,
+                     project_pohozaev, residuals)
 from .errors import (Blowup, BracketFailure, NoConvergence,
                      NonpositiveAmplitude)
 from .grid import Profile, RadialGrid, State
-from .nonlinearity import LOG_ENHANCED, POWER_SUM, Nonlinearity
+from .nonlinearity import POWER_SUM, Nonlinearity
 from .nonlinearity import eval_df, eval_f  # noqa: F401  bound for perfbench tracer.PLAN
 
 __all__ = ["ShootingConfig", "ScalarGroundState", "Outcome", "ShootResult",
@@ -32,15 +35,15 @@ __all__ = ["ShootingConfig", "ScalarGroundState", "Outcome", "ShootResult",
 DECAY_FLOOR = 1e-9
 BLOWUP_LIMIT = 1e6
 MAX_BISECT = 200       # cap on amplitude halvings; width 1e-12 takes about 45
+SHOOT_RADIUS = 20.0    # trajectories are classified out to this radius
+LADDER = tuple(2.0 ** (k / 2) for k in range(-2, 19))   # start amplitudes 0.5..512
 
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Amplitude bracket and ODE step for the shooting method.
+    """Amplitude bracket and ODE step of the RK4 shooting oracle.
 
-    `ode_step` defaults to h/4 of the grid in play (20/16000 for a bare
-    `shoot` call with no grid).  Trajectories are classified out to the
-    grid's R (20 with no grid).
+    `ode_step` defaults to 20/16000, h/4 of the default grid.
     """
 
     a_min: float = 0.1
@@ -93,13 +96,9 @@ def _scalar_f(nl: Nonlinearity):
     return f
 
 
-def _integrate(nl: Nonlinearity, a: float, dt: float, r_max: float,
-               record_every: int = 0):
-    """RK4 march of (w, w') from r=0; returns (ShootResult, samples|None).
-
-    With record_every = k > 0, w is recorded at steps 0, k, 2k, ... so that
-    dt = h/k lands the samples exactly on grid nodes.
-    """
+def _integrate(nl: Nonlinearity, a: float, dt: float,
+               r_max: float) -> ShootResult:
+    """RK4 march of (w, w') from r=0, classified as in the module docstring."""
     f = _scalar_f(nl)
 
     def accel(r: float, y: float, p: float) -> float:
@@ -109,8 +108,7 @@ def _integrate(nl: Nonlinearity, a: float, dt: float, r_max: float,
 
     n_steps = int(round(r_max / dt))
     y, p, r = a, 0.0, 0.0
-    rec = [y] if record_every else None
-    for k in range(1, n_steps + 1):
+    for _ in range(n_steps):
         k1y = p
         k1p = accel(r, y, p)
         rh = r + 0.5 * dt
@@ -127,38 +125,28 @@ def _integrate(nl: Nonlinearity, a: float, dt: float, r_max: float,
         if abs(y) > BLOWUP_LIMIT:
             raise Blowup(f"|w({r:.3f})| > {BLOWUP_LIMIT:g} shooting from a={a}")
         if y <= 0.0:
-            return ShootResult(Outcome.CROSSES, r), rec
+            return ShootResult(Outcome.CROSSES, r)
         if p >= 0.0:
-            return ShootResult(Outcome.TURNS_UP, r), rec
+            return ShootResult(Outcome.TURNS_UP, r)
         if y < DECAY_FLOOR:
-            return ShootResult(Outcome.DECAYS), rec
-        if record_every and k % record_every == 0:
-            rec.append(y)
-    return ShootResult(Outcome.DECAYS), rec
-
-
-def _effective(cfg: ShootingConfig, grid: RadialGrid | None):
-    r_max = grid.R if grid is not None else 20.0
-    dt = cfg.ode_step
-    if dt is None:
-        dt = (grid.h if grid is not None else 20.0 / 4000.0) / 4.0
-    return dt, r_max
+            return ShootResult(Outcome.DECAYS)
+    return ShootResult(Outcome.DECAYS)
 
 
 def shoot(nl: Nonlinearity, a: float, cfg: ShootingConfig = ShootingConfig()) -> ShootResult:
     """Classify the trajectory launched from w(0)=a: see module docstring."""
     if not a > 0.0:
         raise NonpositiveAmplitude(f"a={a}")
-    dt, r_max = _effective(cfg, None)
-    result, _ = _integrate(nl, a, dt, r_max)
-    return result
+    dt = cfg.ode_step if cfg.ode_step is not None else SHOOT_RADIUS / 16000.0
+    return _integrate(nl, a, dt, SHOOT_RADIUS)
 
 
 def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig, dt: float,
                       r_max: float) -> float:
+    """The RK4 reference w(0): bisect TurnsUp against Crosses in the bracket."""
     def classify(a: float) -> Outcome:
         try:
-            res, _ = _integrate(nl, a, dt, r_max)
+            res = _integrate(nl, a, dt, r_max)
         except Blowup:
             return Outcome.CROSSES    # too large an amplitude: an overshoot
         return res.outcome
@@ -211,36 +199,53 @@ def _newton_polish(grid: RadialGrid, vals: np.ndarray,
     return u
 
 
-def solve_scalar(nl: Nonlinearity, grid: RadialGrid,
-                 cfg: ShootingConfig = ShootingConfig()) -> ScalarGroundState:
-    """Ground state of −Δw + w = f(w) on the given grid.
+def _start(grid: RadialGrid, params: EnergyParams) -> np.ndarray:
+    """A·e^{−r²/2} with the ladder's A of least Φ on the pair (·, 0).
 
-    Shooting pins the center amplitude, the grid polish pins the discrete
-    critical point; see module docstring.
+    The first A with W > 0 sits at the edge of the cone, where the descent
+    runs off along the dilation ray on coarse grids.
     """
-    dt, r_max = _effective(cfg, grid)
-    # snap the ODE step to an exact divisor of h so samples land on nodes
-    per_node = max(1, int(round(grid.h / dt)))
-    dt = grid.h / per_node
-    a_star = _bisect_amplitude(nl, cfg, dt, r_max)
-    _, rec = _integrate(nl, a_star, dt, grid.R, record_every=per_node)
-    vals = np.zeros(grid.N + 1)
-    m = min(len(rec), grid.N + 1)
-    vals[:m] = rec[:m]
-    vals[-1] = 0.0
+    bump = np.exp(-0.5 * grid.r ** 2)
+    bump[-1] = 0.0
+    zero = np.zeros(grid.N + 1)
+    phi, amp = min((coupled._phi_value(*coupled._phi_terms(grid, a * bump, zero,
+                                                           params)), a)
+                   for a in LADDER)
+    if phi == math.inf:
+        raise BracketFailure(f"no amplitude in [{LADDER[0]:g}, {LADDER[-1]:g}] "
+                             "gives W > 0")
+    return amp * bump
+
+
+def solve_scalar(nl: Nonlinearity, grid: RadialGrid) -> ScalarGroundState:
+    """Ground state of −Δw + w = f(w) on the given grid; see module docstring.
+
+    The profile must be positive and monotone, with residual below 1e-6
+    and Morse index 1.  It is not put through `coupled.certify`: at R = 20
+    and N ≤ 1200 the cubic misses the Pohozaev clause by the quadrature's
+    O(h²), while index 1 holds on every grid.
+    """
     params = EnergyParams(nl, nl, 0.0)
-    vals = _newton_polish(grid, vals, params)
-    profile = Profile(grid, vals)
+    zero = Profile.zero(grid)
+    start = State(Profile(grid, _start(grid, params)), zero)
+    # through the module object, so the tracer's rebinding of it is seen
+    state, _, _ = coupled._descend(start, params, coupled.ROUND)
+    projected, _ = project_pohozaev(state, params)
+    vals = _newton_polish(grid, projected.u.values, params)
+    # a large w(0) (high power) means a core only a few h wide, which the
+    # grid under-resolves; name both so the cause is visible
+    where = f"(w(0)={vals[0]:.4g}, h={grid.h:g})"
     if not np.all(vals[:-1] > 0.0):
-        raise NoConvergence("polished profile lost positivity")
+        raise NoConvergence(f"polished profile lost positivity {where}")
     if np.any(np.diff(vals) > 1e-12 * float(vals[0])):
-        raise NoConvergence("polished profile lost monotonicity")
-    state = State(profile, Profile.zero(grid))
+        raise NoConvergence(f"polished profile lost monotonicity {where}")
+    state = State(Profile(grid, vals), zero)
     res_u, _ = residuals(state, params)
     if not res_u < 1e-6:
-        # a large w(0) (high power) means a core only a few h wide, which
-        # the grid under-resolves; name both so the cause is visible
-        raise NoConvergence(f"scalar residual {res_u:.3e} >= 1e-6 "
-                            f"(w(0)={vals[0]:.4g}, h={grid.h:g})")
-    return ScalarGroundState(profile=profile, center_value=float(vals[0]),
+        raise NoConvergence(f"scalar residual {res_u:.3e} >= 1e-6 {where}")
+    index = morse_index(state, params)
+    if index != 1:
+        raise NoConvergence(f"polished profile has Morse index {index}, "
+                            f"not 1 {where}")
+    return ScalarGroundState(profile=state.u, center_value=float(vals[0]),
                              action=energy_I(state, params), residual=res_u)

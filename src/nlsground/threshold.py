@@ -20,7 +20,7 @@ from .coupled import Kind, SolveConfig, scalar_baselines, solve_coupled
 from .energy import EnergyParams, projected_energy
 from .errors import InvalidBracket, NumericalError
 from .grid import RadialGrid, State
-from .scalar import ScalarGroundState, ShootingConfig
+from .scalar import ScalarGroundState
 from .scalar import solve_scalar  # noqa: F401  bound for perfbench tracer.PLAN
 
 __all__ = ["SweepRow", "SweepResult", "compare_energies", "sweep",
@@ -61,8 +61,7 @@ def compare_energies(params: EnergyParams, u0: ScalarGroundState,
 
 
 def sweep(params_base: EnergyParams, beta_list: list[float], grid: RadialGrid,
-          cfg: SolveConfig = SolveConfig(),
-          shooting: ShootingConfig = ShootingConfig()) -> SweepResult:
+          cfg: SolveConfig = SolveConfig()) -> SweepResult:
     """Solve for each β in turn, reusing the β-independent scalar baselines.
 
     A failed row (solver exception) is recorded with its message and NaN
@@ -75,7 +74,7 @@ def sweep(params_base: EnergyParams, beta_list: list[float], grid: RadialGrid,
     if not beta_list:
         return SweepResult(rows=(), beta0_bracket=None)
 
-    base_u, base_v = scalar_baselines(params_base, grid, shooting)
+    base_u, base_v = scalar_baselines(params_base, grid)
     scalar_min = min(base_u.action, base_v.action)
 
     rows: list[SweepRow] = []
@@ -83,8 +82,7 @@ def sweep(params_base: EnergyParams, beta_list: list[float], grid: RadialGrid,
         params = EnergyParams(params_base.f, params_base.g, beta)
         lhs, _, _ = compare_energies(params, base_u, base_v, grid)
         try:
-            gs = solve_coupled(params, grid, cfg, shooting,
-                               baselines=(base_u, base_v))
+            gs = solve_coupled(params, grid, cfg, baselines=(base_u, base_v))
         except NumericalError as exc:
             rows.append(SweepRow(beta=beta, m=math.nan, kind=None,
                                  scalar_min=scalar_min, lhs_bound=lhs,
@@ -110,8 +108,7 @@ def sweep(params_base: EnergyParams, beta_list: list[float], grid: RadialGrid,
 
 def bisect_beta0(params_base: EnergyParams, bracket: tuple[float, float],
                  tol: float, grid: RadialGrid,
-                 cfg: SolveConfig = SolveConfig(),
-                 shooting: ShootingConfig = ShootingConfig()) -> float:
+                 cfg: SolveConfig = SolveConfig()) -> float:
     """Bisect the solver's kind transition inside `bracket` to width `tol`."""
     lo, hi = bracket
     if not (0.0 < lo < hi):
@@ -119,11 +116,11 @@ def bisect_beta0(params_base: EnergyParams, bracket: tuple[float, float],
     if not tol > 0.0:
         raise InvalidBracket("tol must be positive")
 
-    base_u, base_v = scalar_baselines(params_base, grid, shooting)
+    base_u, base_v = scalar_baselines(params_base, grid)
 
     def kind_at(beta: float) -> bool:
         params = EnergyParams(params_base.f, params_base.g, beta)
-        return solve_coupled(params, grid, cfg, shooting,
+        return solve_coupled(params, grid, cfg,
                              baselines=(base_u, base_v)).kind is Kind.VECTOR
 
     klo = kind_at(lo)

@@ -65,9 +65,9 @@ output.dir = {tmp_path / 'out'}
 
 def test_scalar_numeric_failure(tmp_path):
     conf = write_conf(tmp_path / "s.conf", """
-f.family = cubic
+f.family = power_sum
+f.terms = [(1.0, 4.5)]
 grid.N = 500
-shooting.a_max = 2.0
 """)
     code, out, err = run_cli("scalar", conf)
     assert code == 2

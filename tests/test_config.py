@@ -19,7 +19,6 @@ def test_minimal_config_defaults():
     assert cfg.solver.seed == 0
     assert cfg.output_dir == Path(".")
     assert cfg.solver.init_strategy is InitStrategy.ALL
-    assert cfg.shooting.a_max == 50.0
 
 
 def test_full_config_round_trip():
@@ -38,9 +37,6 @@ output.dir = runs/demo
 solver.max_iters = 500
 solver.init_strategy = scalar_pair
 solver.n_random = 3
-shooting.a_min = 0.5
-shooting.a_max = 30.0
-shooting.ode_step = 0.001
 """
     cfg = parse_config(text)
     assert cfg.grid.R == 18.0 and cfg.grid.N == 1600
@@ -54,9 +50,6 @@ shooting.ode_step = 0.001
     assert cfg.solver.init_strategy is InitStrategy.SCALAR_PAIR
     assert cfg.solver.n_random == 3
     assert cfg.solver.seed == 7
-    assert cfg.shooting.a_min == 0.5
-    assert cfg.shooting.a_max == 30.0
-    assert cfg.shooting.ode_step == 0.001
 
 
 def test_distinct_g_family():
@@ -84,7 +77,11 @@ def test_distinct_g_family():
     ("f.family = cubic\nseed = False\n", "integer"),
     ("f.family = cubic\nf.bogus = 1\n", "unknown f"),
     ("f.family = cubic\nsolver.grad_tol = -1\n", "unknown keys"),
-    ("f.family = cubic\nshooting.a_min = 5\nshooting.a_max = 1\n", "a_min"),
+    # the shooting bracket configures only the RK4 oracle, not a run
+    ("f.family = cubic\nshooting.a_min = 5\nshooting.a_max = 1\n", "unknown keys"),
+    ("f.family = cubic\nshooting.a_min = 0.5\n", "unknown keys"),
+    ("f.family = cubic\nshooting.a_max = 30.0\n", "unknown keys"),
+    ("f.family = cubic\nshooting.ode_step = 0.001\n", "unknown keys"),
     ("f.family = cubic\ngrid.N = 10\n", "grid"),
     ("f.family cubic\n", "key = value"),
     (" = 3\nf.family = cubic\n", "empty key"),

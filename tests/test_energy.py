@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nlsground.coupled as coupled_mod
 import nlsground.energy as energy_mod
 from nlsground.coupled import certify, solve_coupled
 from nlsground.energy import (INDEX_TOL, EnergyParams, energy_I,
@@ -101,6 +102,20 @@ def test_projection_errors(grid):
         project_pohozaev(tiny, params)
     with pytest.raises(NoProjection):
         projected_energy(tiny, params)
+
+
+def test_projection_that_loses_the_cone_raises_no_projection():
+    # 50 descent iterations from 2·e^{−r²/2} leave a spike with u(0) ≈ 62
+    # and W ≈ 9e7 at h = 0.05; its first dilation shrinks the core below h,
+    # the interpolated state has W ≤ 0, and the next pass must say so
+    nl = power_sum([(0.6373, 4.2018), (0.6741, 3.3798)])
+    g = RadialGrid(R=20.0, N=400)
+    params = EnergyParams(nl, nl, 0.0)
+    state, _, _ = coupled_mod._descend(_gauss_state(g, amp=2.0), params, 50)
+    assert state.u.values[0] > 50.0
+    assert projected_energy(state, params) < math.inf     # starts with W > 0
+    with pytest.raises(NoProjection):
+        project_pohozaev(state, params)
 
 
 def test_first_variation_matches_pointwise_operator(grid):

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nlsground.energy import EnergyParams, pohozaev_J
+from nlsground.energy import EnergyParams, morse_index, pohozaev_J
 from nlsground.errors import (Blowup, BracketFailure, NoConvergence,
-                              NonpositiveAmplitude)
+                              NonpositiveAmplitude, NumericalError)
 from nlsground.grid import Profile, RadialGrid, State, kinetic
-from nlsground.nonlinearity import cubic, power_sum
+from nlsground.nonlinearity import cubic, log_enhanced, power_sum
 from nlsground.scalar import (Outcome, ScalarGroundState, ShootingConfig,
-                              shoot, solve_scalar)
+                              _bisect_amplitude, shoot, solve_scalar)
 from conftest import CUBIC_ACTION, CUBIC_CENTER
 
 
@@ -74,9 +76,10 @@ def test_solve_scalar_deterministic():
 
 def test_bracket_without_transition_fails():
     # every amplitude below the critical one turns up: no sign change to find
+    g = RadialGrid(R=20.0, N=500)
     with pytest.raises(BracketFailure):
-        solve_scalar(cubic(), RadialGrid(R=20.0, N=500),
-                     ShootingConfig(a_min=0.1, a_max=2.0))
+        _bisect_amplitude(cubic(), ShootingConfig(a_min=0.1, a_max=2.0),
+                          g.h / 4.0, g.R)
 
 
 def test_linear_equation_has_no_ground_state():
@@ -93,15 +96,25 @@ def test_solve_scalar_small_grid_consistency():
     assert gs.action == pytest.approx(CUBIC_ACTION, rel=1e-3)
 
 
-@pytest.mark.parametrize("nl, N", [(power_sum([(1.0, 4.5)]), 400),
-                                   (power_sum([(1.0, 2.0), (0.5, 3.5)]), 160)])
-def test_blowup_counts_as_overshoot(nl, N):
+@pytest.mark.parametrize("nl, N, resolved", [
+    pytest.param(power_sum([(1.0, 4.5)]), 400, False, id="nl0-400"),
+    pytest.param(power_sum([(1.0, 2.0), (0.5, 3.5)]), 160, True, id="nl1-160"),
+])
+def test_blowup_counts_as_overshoot(nl, N, resolved):
     # the RK4 trajectory from a = a_max = 50 leaves the trust region; the
     # public `shoot` reports that, while the amplitude bracket treats it as
-    # an overshoot and still finds the ground state
+    # an overshoot and still brackets a transition
     g = RadialGrid(R=20.0, N=N)
+    cfg = ShootingConfig(ode_step=g.h / 4.0)
     with pytest.raises(Blowup):
-        shoot(nl, 50.0, ShootingConfig(ode_step=g.h / 4.0))
+        shoot(nl, 50.0, cfg)
+    assert cfg.a_min < _bisect_amplitude(nl, cfg, g.h / 4.0, g.R) < cfg.a_max
+    if not resolved:
+        # h = 0.05 under-resolves the p = 4.5 core: the discrete critical
+        # point that the shooting amplitude seeds has Morse index 0
+        with pytest.raises(NoConvergence):
+            solve_scalar(nl, g)
+        return
     gs = solve_scalar(nl, g)
     assert np.all(gs.profile.values[:-1] > 0.0)
     assert gs.residual <= 1e-14
@@ -112,3 +125,35 @@ def test_underresolved_core_names_amplitude_and_step():
     # h = 0.005: Newton stalls on the under-resolved grid (N = 16000 converges)
     with pytest.raises(NoConvergence, match=r"w\(0\)=.*h=0\.005"):
         solve_scalar(power_sum([(1.0, 4.9)]), RadialGrid(R=20.0, N=4000))
+
+
+@pytest.mark.parametrize("nl", [log_enhanced(),
+                                power_sum([(1.0, 2.0), (0.5, 3.5)])],
+                         ids=["log_enhanced", "power_sum"])
+def test_center_matches_rk4_reference(nl):
+    # the fixed-step RK4 bisection is an independent solver of the same ODE
+    g = RadialGrid(R=20.0, N=4000)
+    a_ref = _bisect_amplitude(nl, ShootingConfig(), g.h / 4.0, g.R)
+    assert solve_scalar(nl, g).center_value == pytest.approx(a_ref, rel=1e-3)
+
+
+_TERM = st.tuples(st.floats(0.5, 2.0), st.floats(1.2, 4.8))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(terms=st.lists(_TERM, min_size=1, max_size=2),
+       N=st.sampled_from([400, 800]))
+@example(terms=[(1.0, 4.5)], N=400)
+def test_scalar_state_is_a_ground_state_or_fails_cleanly(terms, N):
+    nl = power_sum(terms)
+    g = RadialGrid(R=20.0, N=N)
+    try:
+        gs = solve_scalar(nl, g)
+    except NumericalError:
+        return
+    vals = gs.profile.values
+    assert np.all(vals[:-1] > 0.0)
+    assert np.all(np.diff(vals) <= 1e-12 * vals[0])
+    assert gs.residual < 1e-6
+    state = State(gs.profile, Profile.zero(g))
+    assert morse_index(state, EnergyParams(nl, nl, 0.0)) == 1

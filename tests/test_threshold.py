@@ -106,10 +106,10 @@ def test_sweep_isolates_failed_rows(monkeypatch, mid_grid):
     params = EnergyParams(cubic(), cubic(), 1.0)
     real_solve = threshold_mod.solve_coupled
 
-    def flaky(params, grid, cfg, shooting, baselines):
+    def flaky(params, grid, cfg, baselines):
         if params.beta == 0.5:
             raise NoConvergence("synthetic failure")
-        return real_solve(params, grid, cfg, shooting, baselines=baselines)
+        return real_solve(params, grid, cfg, baselines=baselines)
 
     monkeypatch.setattr(threshold_mod, "solve_coupled", flaky)
     result = sweep(params, [0.5, 1.1], mid_grid)
