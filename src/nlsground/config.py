@@ -8,6 +8,7 @@ ignored — config typos must fail loudly, not silently run defaults.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,7 +89,7 @@ def _build_nonlinearity(pairs: dict[str, object], prefix: str) -> Nonlinearity |
             if "terms" in sub:
                 raise ConfigError(f"{prefix}: log_enhanced takes no terms")
             return log_enhanced(float(sub.get("amplitude", 1.0)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{prefix}: {exc}") from exc
     raise ConfigError(f"{prefix}.family: unknown family {family!r}")
 
@@ -120,6 +121,8 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(beta, (int, float)) or isinstance(beta, bool):
             raise ConfigError("beta must be a number")
         beta = float(beta)
+        if not math.isfinite(beta):
+            raise ConfigError(f"beta must be finite, got {beta}")
         if not beta > 0.0:
             raise ConfigError(f"beta must be positive, got {beta}")
     beta_list = pairs.get("beta_list")
@@ -129,6 +132,8 @@ def parse_config(text: str) -> RunConfig:
                            for b in beta_list)):
             raise ConfigError("beta_list must be a list of numbers")
         beta_list = tuple(float(b) for b in beta_list)
+        if not all(math.isfinite(b) for b in beta_list):
+            raise ConfigError("beta_list entries must be finite")
         if any(b <= 0.0 for b in beta_list):
             raise ConfigError("beta_list entries must be positive")
         if sorted(beta_list) != list(beta_list):

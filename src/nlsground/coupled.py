@@ -6,7 +6,7 @@ is dilation-invariant, finite exactly on the cone W > 0, and its minimum
 over that cone equals the constrained minimum over the manifold.  The
 solver therefore runs an unconstrained preconditioned descent on Φ
 (rejecting trial steps that leave the cone), but only to find the basin:
-it runs in rounds of 50, 100, 200, … iterations, and after each round a
+it runs in rounds of 50 iterations, and after each round a
 copy of the iterate is projected onto the manifold by the closed-form
 dilation, polished to the exact discrete critical point with the damped
 Newton iteration on the full coupled system (`nlsground.energy.newton`),
@@ -16,10 +16,12 @@ the PDE residual tiny.  A minimizer on the manifold has Morse index 1 in
 the radial space, so the start ends on a polished state that `certify`,
 the one a-posteriori certificate, accepts and whose
 `nlsground.energy.morse_index` is 1; otherwise the descent resumes from
-where it was.  A start whose rounds keep polishing to one certified
-saddle (index ≥ 2) ends there with no candidate.  The two scalar
-embeddings pass the same two gates; the CLI judges states with `certify`
-too.  `nlsground.scalar.solve_scalar` is one round of this on (w, 0).
+where it was.  A start whose handoffs polish twice in a row to one
+action (a saddle, or a state the grid is too coarse to certify) ends
+there with no candidate, as does one whose round ends in Armijo failure
+or whose `max_iters` runs out.  The two scalar embeddings pass the same
+two gates; the CLI judges states with `certify` too.
+`nlsground.scalar.solve_scalar` is one round of this on (w, 0).
 
 The weighted gradient of Φ is
 
@@ -44,7 +46,7 @@ from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .energy import (EnergyParams, EnergyReport, _laplacian_band, _terms,
-                     _variation, energy_report, morse_index, newton,
+                     _variation, energy_I, energy_report, morse_index, newton,
                      project_pohozaev)
 from .energy import residuals  # noqa: F401  bound for perfbench tracer.PLAN
 from .errors import (CertificationFailure, InfeasibleStart, NegativeBeta,
@@ -56,16 +58,12 @@ from .scalar import ScalarGroundState, solve_scalar
 __all__ = ["SolveConfig", "GroundState", "Kind", "solve_coupled", "classify",
            "certify"]
 
-STAGNATION_WINDOW = 50
-STAGNATION_DELTA = 1e-12
-GRAD_TOL = 1e-7        # descent stops once the weighted ‖G‖ falls below
 ARMIJO = 1e-4          # sufficient-decrease fraction of the first-order slope
 BACKTRACK = 0.5        # step shrink per rejected Armijo trial
 CERT_TOL = 1e-6        # |J| and |I − K/3| against 1 + K
 CERT_RESIDUAL = 1e-5   # each relative PDE residual
 TIE_REL = 1e-12        # candidate energies this close count as equal
-ROUND = 50             # descent iterations before the first Newton handoff;
-                       # each later round doubles it
+ROUND = 50             # descent iterations between Newton handoffs
 
 
 class Kind(enum.Enum):
@@ -203,13 +201,8 @@ def _descend(state: State, params: EnergyParams, max_iters: int):
     """One round of Armijo descent on Φ; returns (state, iterations, grad).
 
     Runs on raw node arrays and never leaves the cone 0 < K, W < ∞.  Stops
-    after `max_iters` iterations, on the gradient tolerance, on energy
-    stagnation, or on gradient stagnation.  The latter catches the
-    near-flat valley the discretization opens along the dilation ray: the
-    continuum Φ is exactly ray-invariant, so the discrete objective keeps a
-    residual slope ~h² there that descent can follow forever at a useless
-    ~1e-11 per 50 iterations.  `_run_start` hands each round's iterate to
-    the Newton polish, which eliminates that residual gradient entirely.
+    after `max_iters` iterations, or sooner when no backtracked step gives
+    sufficient decrease; `grad` is the weighted ‖G‖ last evaluated.
     """
     gr = state.grid
     u = state.u.values.copy()
@@ -221,20 +214,11 @@ def _descend(state: State, params: EnergyParams, max_iters: int):
     if phi == math.inf:
         raise InfeasibleStart("initial state lies off the cone 0 < K, W < inf")
     lu = _factor_preconditioner(gr)
-    history: list[float] = [phi]
-    ghistory: list[float] = []
     it = 0
     gnorm = math.inf
     while it < max_iters:
         gu, gv = _phi_gradient(gr, u, v, params, K, W)
         gnorm = math.sqrt(float(gr.w @ (gu * gu) + gr.w @ (gv * gv)))
-        ghistory.append(gnorm)
-        if gnorm <= GRAD_TOL:
-            break
-        if (len(ghistory) > STAGNATION_WINDOW
-                and abs(ghistory[-STAGNATION_WINDOW - 1] - gnorm)
-                <= 1e-3 * gnorm):
-            break
         # ‖G‖ is not finite when G is not, or when G·G overflows: scan then
         if not math.isfinite(gnorm) and not (np.isfinite(gu).all()
                                              and np.isfinite(gv).all()):
@@ -254,11 +238,6 @@ def _descend(state: State, params: EnergyParams, max_iters: int):
             s *= BACKTRACK
         else:
             break   # no Armijo step
-        history.append(phi)
-        if (len(history) > STAGNATION_WINDOW
-                and history[-STAGNATION_WINDOW - 1] - phi
-                < STAGNATION_DELTA * (1.0 + abs(phi))):
-            break
     return State(Profile(gr, u), Profile(gr, v)), it, gnorm
 
 
@@ -332,41 +311,39 @@ def _candidate(state: State, params: EnergyParams,
 
 
 def _run_start(init: State, params: EnergyParams, max_iters: int):
-    """Descend from `init` in rounds, handing each round's iterate to Newton.
+    """Descend from `init` in rounds of ROUND, handing each iterate to Newton.
 
-    Rounds run ROUND, 2·ROUND, 4·ROUND, … descent iterations, `max_iters`
-    in all.  After each, a copy of the iterate is projected, polished and
-    certified; a certified state of Morse index 1 ends the start.  Anything
-    else resumes the descent from the iterate as it was before Newton,
-    unless the descent itself stopped (a stop rule or the budget) or two
-    rounds in a row polished to certified saddles of one energy: that
-    start is stuck on the saddle (for f = g the Φ-flow keeps the symmetric
-    subspace invariant, so the scalar pair never leaves it).  Returns
-    (index-1 state or None, whether any polished state was certified).
+    After each round a copy of the iterate is projected, polished and
+    certified; a certified state of Morse index 1 ends the start.  So do two
+    handoffs in a row whose Newton outputs have one action (within TIE_REL,
+    certified or not): the descent keeps returning to a critical point that
+    cannot win, a saddle (for f = g the Φ-flow keeps the symmetric subspace
+    invariant, so the scalar pair never leaves it) or a state too coarse to
+    certify.  A round cut short by Armijo failure, or `max_iters` in all,
+    ends the start too; anything else resumes the descent from the iterate
+    as it was before Newton.  Returns (index-1 state or None, whether any
+    polished state was certified).
     """
-    state, done, length = init, 0, ROUND
+    state, done = init, 0
     certified = False
-    saddle = None
+    last = None
     while True:
-        budget = min(length, max_iters - done)
+        budget = min(ROUND, max_iters - done)
         state, iters, _ = _descend(state, params, budget)
         done += iters
         projected, _ = project_pohozaev(state, params)  # the descent keeps W > 0
-        gs = _candidate(_coupled_newton(projected, params), params, done)
-        if gs is None:
-            saddle = None
-        elif morse_index(gs.state, params) == 1:
-            return gs, True
-        elif (saddle is not None
-              and abs(gs.m - saddle) <= TIE_REL * (1.0 + abs(gs.m))):
-            return None, True
-        else:
+        polished = _coupled_newton(projected, params)
+        gs = _candidate(polished, params, done)
+        if gs is not None:
+            if morse_index(gs.state, params) == 1:
+                return gs, True
             # on the manifold the dilation direction is negative: index ≥ 2
             certified = True
-            saddle = gs.m
-        if iters < budget or done >= max_iters:
+        m = energy_I(polished, params)
+        if ((last is not None and abs(m - last) <= TIE_REL * (1.0 + abs(m)))
+                or iters < budget or done >= max_iters):
             return None, certified
-        length *= 2
+        last = m
 
 
 def scalar_baselines(params: EnergyParams, grid: RadialGrid):

@@ -44,8 +44,8 @@ class RadialGrid:
     def __init__(self, R: float = 20.0, N: int = 4000):
         R = float(R)
         N = int(N)
-        if R <= 0.0:
-            raise ValueError("R must be positive")
+        if not 0.0 < R < math.inf:
+            raise ValueError("R must be positive and finite")
         if N < 64:
             raise ValueError("N must be at least 64")
         self.R = R

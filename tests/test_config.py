@@ -73,6 +73,13 @@ def test_distinct_g_family():
     ("f.family = cubic\nbeta_list = [2.0, 1.0]\n", "sorted"),
     ("f.family = cubic\nbeta_list = [1.0, -1.0]\n", "sorted|positive"),
     ("f.family = cubic\nbeta_list = 2.0\n", "list"),
+    ("f.family = cubic\nbeta = 1e999\n", "beta must be finite"),
+    ("f.family = cubic\nbeta_list = [0.5, 1e999]\n", "entries must be finite"),
+    ("f.family = cubic\ngrid.R = 1e999\n", "grid: R must be positive and finite"),
+    # malformed nonlinearity values are config errors, not tracebacks
+    ("f.family = log_enhanced\nf.amplitude = [1]\n", "^f: "),
+    ("f.family = power_sum\nf.terms = [None]\n", "^f: "),
+    ("f.family = power_sum\nf.terms = [1, 2]\n", "^f: "),
     ("f.family = cubic\nseed = 1.5\n", "integer"),
     ("f.family = cubic\nseed = False\n", "integer"),
     ("f.family = cubic\nf.bogus = 1\n", "unknown f"),

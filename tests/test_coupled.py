@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 import nlsground.coupled as coupled_mod
@@ -16,6 +18,7 @@ from nlsground.errors import (CertificationFailure, InfeasibleStart,
                               ZeroState)
 from nlsground.grid import (Profile, RadialGrid, State,
                             flux_laplacian_interior)
+from nlsground.nonlinearity import power_sum
 from nlsground.scalar import solve_scalar
 
 
@@ -157,15 +160,14 @@ def test_symmetric_start_ends_on_the_saddle(monkeypatch, grid, cubic_nl,
 def test_repeated_saddle_ends_a_moving_start(monkeypatch, grid, cubic_nl,
                                              cubic_scalar):
     # the random starts at β = 0.99 also polish to the symmetric saddle; their
-    # descent is still moving, so only the repeated saddle ends them, after
+    # descent is still moving, so only the repeated action ends them, after
     # two full rounds each
     params = EnergyParams(cubic_nl, cubic_nl, 0.99)
     rounds = _count_rounds(monkeypatch)
     gs = solve_coupled(params, grid,
                        SolveConfig(init_strategy="random_gaussians"),
                        baselines=(cubic_scalar, cubic_scalar))
-    full = [coupled_mod.ROUND, 2 * coupled_mod.ROUND]
-    assert rounds == full + full
+    assert rounds == [coupled_mod.ROUND, coupled_mod.ROUND] * 2
     assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
 
 
@@ -223,7 +225,7 @@ def test_descend_rejects_overflowing_potential(monkeypatch, cubic_nl):
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     half = Profile(g, 0.5 * w)
     st, _, _ = coupled_mod._descend(State(half, half), params,
-                                    SolveConfig().max_iters)
+                                    coupled_mod.ROUND)
     assert math.isfinite(energy_report(st, params).W)
 
 
@@ -325,12 +327,51 @@ def test_solver_deterministic(grid, cubic_nl, cubic_scalar, coupled_beta2):
     assert np.array_equal(again.state.v.values, first.state.v.values)
 
 
-def test_coarse_grid_cannot_certify(cubic_nl):
+def test_start_that_cannot_win_ends_in_rounds(monkeypatch, cubic_nl):
+    # p = 4.6 is under-resolved at h = 0.0125: no start polishes to a state
+    # that wins, and each one ends when its handoff repeats, not when the
+    # 20,000-iteration budget runs out; the scalar_u embedding is the answer
+    g = RadialGrid(R=20.0, N=1600)
+    params = EnergyParams(cubic_nl, power_sum([(1.0, 4.6)]), 1.0)
+    base_u, base_v = coupled_mod.scalar_baselines(params, g)
+    rounds = _count_rounds(monkeypatch)
+    gs = solve_coupled(params, g, baselines=(base_u, base_v))
+    assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
+    assert gs.m == pytest.approx(18.897202351262, rel=1e-12)
+    assert len(rounds) <= 10 and set(rounds) == {coupled_mod.ROUND}
+
+
+def test_coarse_grid_cannot_certify(monkeypatch, cubic_nl):
     # on a deliberately coarse mesh the discrete Pohozaev defect of the
     # converged states exceeds the certificate budget, and the solver
-    # reports that honestly instead of returning an uncertified state
+    # reports that honestly instead of returning an uncertified state; each
+    # of the four starts polishes twice to that one state and stops there
     g = RadialGrid(R=20.0, N=640)
     base = solve_scalar(cubic_nl, g)
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
+    rounds = _count_rounds(monkeypatch)
     with pytest.raises(NoConvergence):
         solve_coupled(params, g, baselines=(base, base))
+    assert rounds == [coupled_mod.ROUND] * 8
+
+
+_TERMS = st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(1.2, 4.5)),
+                  min_size=1, max_size=2)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(f=_TERMS, g=_TERMS, beta=st.floats(0.2, 3.0),
+       N=st.sampled_from([400, 800]))
+@example(f=[(0.9176, 2.0391)], g=[(1.2568, 2.9051), (1.9933, 3.5987)],
+         beta=1.9421, N=800)
+def test_coupled_state_is_certified_or_fails_cleanly(f, g, beta, N):
+    # every draw ends in a certified index-1 state or a named numerical
+    # failure
+    assume(f != g)
+    params = EnergyParams(power_sum(f), power_sum(g), beta)
+    try:
+        gs = solve_coupled(params, RadialGrid(R=20.0, N=N))
+    except NumericalError:
+        return
+    certify(gs, params)
+    assert energy_mod.morse_index(gs.state, params) == 1

@@ -26,6 +26,12 @@ def test_grid_construction_and_validation():
         RadialGrid(R=10.0, N=10)
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_grid_rejects_non_finite_radius(R):
+    with pytest.raises(ValueError, match="finite"):
+        RadialGrid(R=R, N=200)
+
+
 def test_quadrature_total_volume(grid):
     # trapezoid weights reproduce the ball volume up to the O(h^2)
     # boundary correction of the rule itself
