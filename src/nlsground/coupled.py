@@ -13,14 +13,15 @@ Newton iteration on the full coupled system (`nlsground.energy.newton`),
 and projected once more — the last projection moves the state by O(J)
 and restores J = 0 to roundoff while the Newton step has already made
 the PDE residual tiny.  A minimizer on the manifold has Morse index 1 in
-the radial space, so the start ends on a polished state that `certify`,
-the one a-posteriori certificate, accepts and whose
-`nlsground.energy.morse_index` is 1; otherwise the descent resumes from
-where it was.  A start whose handoffs polish twice in a row to one
-action (a saddle, or a state the grid is too coarse to certify) ends
-there with no candidate, as does one whose round ends in Armijo failure
-or whose `max_iters` runs out.  The two scalar embeddings pass the same
-two gates; the CLI judges states with `certify` too.
+the radial space, so `_candidate`, the one accept gate, takes a state
+that `certify`, the one a-posteriori certificate, accepts and whose
+`nlsground.energy.morse_index` is 1.  A start ends on the first handoff it
+takes; otherwise the descent resumes from where it was.  A start whose
+handoffs polish twice in a row to one action (a saddle, or a state the
+grid is too coarse to certify) ends there with no candidate, as does one
+whose round ends in Armijo failure or whose `max_iters` runs out.  The two
+scalar embeddings pass the same gate, and a start that raises drops only
+itself.  The CLI judges states with `certify` too.
 `nlsground.scalar.solve_scalar` is one round of this on (w, 0).
 
 The weighted gradient of Φ is
@@ -50,7 +51,7 @@ from .energy import (EnergyParams, EnergyReport, _laplacian_band, _terms,
                      project_pohozaev)
 from .energy import residuals  # noqa: F401  bound for perfbench tracer.PLAN
 from .errors import (CertificationFailure, InfeasibleStart, NegativeBeta,
-                     NoConvergence, NoProjection, ZeroState)
+                     NoConvergence, NoProjection, NumericalError, ZeroState)
 from .grid import Profile, RadialGrid, State, integrate, kinetic
 from .nonlinearity import eval_df, eval_f  # noqa: F401  bound for perfbench tracer.PLAN
 from .scalar import ScalarGroundState, solve_scalar
@@ -296,53 +297,56 @@ def _settle_on_manifold(state: State, params: EnergyParams) -> State:
     return settled
 
 
-def _candidate(state: State, params: EnergyParams,
-               iterations: int) -> GroundState | None:
-    """Settle, certify and classify one candidate; None if it fails."""
+def _candidate(state: State, params: EnergyParams, iterations: int):
+    """The one accept gate: settle, `certify`, `classify`, Morse index 1.
+
+    Returns (GroundState, "") or (None, the rejection: the certificate
+    clause, the projection error or `Morse index k`).
+    """
     try:
         state = _settle_on_manifold(state, params)
         rep = certify(state, params)
         kind = classify(state)
-    except (NoProjection, ZeroState, CertificationFailure):
-        return None
+    except (NoProjection, ZeroState, CertificationFailure) as exc:
+        return None, str(exc)
+    # on the manifold the dilation direction is negative: a saddle has ≥ 2
+    index = morse_index(state, params)
+    if index != 1:
+        return None, f"Morse index {index}"
     return GroundState(state=state, m=rep.I, kind=kind,
                        residuals=(rep.residual_u, rep.residual_v),
-                       iterations=iterations)
+                       iterations=iterations), ""
 
 
 def _run_start(init: State, params: EnergyParams, max_iters: int):
     """Descend from `init` in rounds of ROUND, handing each iterate to Newton.
 
-    After each round a copy of the iterate is projected, polished and
-    certified; a certified state of Morse index 1 ends the start.  So do two
+    After each round a copy of the iterate is projected and polished, and
+    `_candidate` judges it; an accepted state ends the start.  So do two
     handoffs in a row whose Newton outputs have one action (within TIE_REL,
-    certified or not): the descent keeps returning to a critical point that
+    accepted or not): the descent keeps returning to a critical point that
     cannot win, a saddle (for f = g the Φ-flow keeps the symmetric subspace
     invariant, so the scalar pair never leaves it) or a state too coarse to
     certify.  A round cut short by Armijo failure, or `max_iters` in all,
     ends the start too; anything else resumes the descent from the iterate
-    as it was before Newton.  Returns (index-1 state or None, whether any
-    polished state was certified).
+    as it was before Newton.  Returns (accepted state, "") or (None, the
+    last rejection and the iteration count).
     """
     state, done = init, 0
-    certified = False
     last = None
     while True:
         budget = min(ROUND, max_iters - done)
         state, iters, _ = _descend(state, params, budget)
         done += iters
-        projected, _ = project_pohozaev(state, params)  # the descent keeps W > 0
+        projected, _ = project_pohozaev(state, params)
         polished = _coupled_newton(projected, params)
-        gs = _candidate(polished, params, done)
+        gs, reason = _candidate(polished, params, done)
         if gs is not None:
-            if morse_index(gs.state, params) == 1:
-                return gs, True
-            # on the manifold the dilation direction is negative: index ≥ 2
-            certified = True
+            return gs, ""
         m = energy_I(polished, params)
         if ((last is not None and abs(m - last) <= TIE_REL * (1.0 + abs(m)))
                 or iters < budget or done >= max_iters):
-            return None, certified
+            return None, f"{reason} after {done} iterations"
         last = m
 
 
@@ -359,36 +363,29 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
                   ) -> GroundState:
     """Lowest-energy state among scalar embeddings and coupled descent runs.
 
-    Every candidate goes through `certify` and must have Morse index 1.
-    `baselines` lets callers (the β sweep) reuse the scalar solves, which
-    do not depend on β.
+    `_candidate` judges the two embeddings and every start's handoffs
+    alike; a start that raises drops only itself, and when no run gives a
+    state one `NoConvergence` names each run's reason.  β must be positive
+    and finite; `baselines` lets callers (the β sweep) reuse the scalar
+    solves, which do not depend on β.
     """
-    if not params.beta > 0.0:
-        raise NegativeBeta(f"beta={params.beta}: need beta > 0")
+    if not 0.0 < params.beta < math.inf:
+        raise NegativeBeta(f"beta={params.beta}: need 0 < beta < inf")
     base_u, base_v = baselines or scalar_baselines(params, grid)
 
     zero = Profile.zero(grid)
-    embeddings = (State(base_u.profile, zero), State(zero, base_v.profile))
-    candidates = [gs for gs in (_candidate(st, params, 0) for st in embeddings)
-                  if gs is not None and morse_index(gs.state, params) == 1]
-
-    feasible = 0
-    converged = 0
-    for _, init in _initial_states(params, grid, cfg, base_u, base_v):
+    runs = [("scalar_u", _candidate(State(base_u.profile, zero), params, 0)),
+            ("scalar_v", _candidate(State(zero, base_v.profile), params, 0))]
+    for name, init in _initial_states(params, grid, cfg, base_u, base_v):
         try:
-            gs, certified = _run_start(init, params, cfg.max_iters)
-        except InfeasibleStart:
-            continue
-        feasible += 1
-        converged += certified
-        if gs is not None:
-            candidates.append(gs)
-    if feasible == 0:
-        raise InfeasibleStart("all initializations have W <= 0")
-    if converged == 0:
-        raise NoConvergence("no descent run reached the residual target")
+            runs.append((name, _run_start(init, params, cfg.max_iters)))
+        except (NumericalError, ZeroState) as exc:
+            runs.append((name, (None, str(exc))))
+    candidates = [gs for _, (gs, _) in runs if gs is not None]
     if not candidates:
-        raise NoConvergence("no certified state has Morse index 1")
+        raise NoConvergence("no run gave a certified state of Morse index 1: "
+                            + "; ".join(f"{name}: {reason}"
+                                        for name, (_, reason) in runs))
 
     # deterministic reduction: energies within TIE_REL of the least tie (runs
     # that reach one state differ by roundoff); a tie prefers a vector state,

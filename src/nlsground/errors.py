@@ -65,7 +65,7 @@ class NoProjection(NumericalError):
 
 
 class InfeasibleStart(NumericalError):
-    """Every initialization lies outside the feasible cone W > 0."""
+    """One start lies off the cone W > 0; recorded as that start's reason."""
 
 
 class CertificationFailure(NumericalError):

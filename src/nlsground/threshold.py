@@ -67,8 +67,8 @@ def sweep(params_base: EnergyParams, beta_list: list[float], grid: RadialGrid,
     A failed row (solver exception) is recorded with its message and NaN
     energy instead of aborting the remaining rows.
     """
-    if any(b <= 0.0 for b in beta_list):
-        raise ValueError("beta values must be positive")
+    if not all(0.0 < b < math.inf for b in beta_list):
+        raise ValueError("beta values must be positive and finite")
     if sorted(beta_list) != list(beta_list):
         raise ValueError("beta_list must be sorted ascending")
     if not beta_list:
@@ -111,8 +111,8 @@ def bisect_beta0(params_base: EnergyParams, bracket: tuple[float, float],
                  cfg: SolveConfig = SolveConfig()) -> float:
     """Bisect the solver's kind transition inside `bracket` to width `tol`."""
     lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise InvalidBracket(f"need 0 < lo < hi, got ({lo}, {hi})")
+    if not (0.0 < lo < hi < math.inf):
+        raise InvalidBracket(f"need 0 < lo < hi < inf, got ({lo}, {hi})")
     if not tol > 0.0:
         raise InvalidBracket("tol must be positive")
 

@@ -14,8 +14,8 @@ from nlsground.coupled import (GroundState, InitStrategy, Kind, SolveConfig,
                                certify, classify, solve_coupled)
 from nlsground.energy import EnergyParams, energy_report, project_pohozaev
 from nlsground.errors import (CertificationFailure, InfeasibleStart,
-                              NegativeBeta, NoConvergence, NumericalError,
-                              ZeroState)
+                              NegativeBeta, NoConvergence, NoProjection,
+                              NumericalError, ZeroState)
 from nlsground.grid import (Profile, RadialGrid, State,
                             flux_laplacian_interior)
 from nlsground.nonlinearity import power_sum
@@ -280,14 +280,15 @@ def test_precondition_matches_dense_and_banded_references():
 
 
 def test_negative_beta_rejected(grid, cubic_nl):
-    for beta in (0.0, -1.0):
+    for beta in (0.0, -1.0, math.inf):
         params = EnergyParams(cubic_nl, cubic_nl, beta)
         with pytest.raises(NegativeBeta):
             solve_coupled(params, grid)
 
 
 def test_infeasible_inits_raise(monkeypatch, grid, cubic_nl, cubic_scalar):
-    # every initialization below the mass/potential balance has W <= 0
+    # an initialization below the mass/potential balance has W <= 0; it is
+    # that start's reason in the one failure, next to the embeddings' index 2
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     tiny = Profile.from_callable(grid, lambda r: 0.1 * np.exp(-r ** 2 / 2.0))
 
@@ -295,8 +296,34 @@ def test_infeasible_inits_raise(monkeypatch, grid, cubic_nl, cubic_scalar):
         return [("tiny", State(tiny, tiny))]
 
     monkeypatch.setattr(coupled_mod, "_initial_states", tiny_inits)
-    with pytest.raises(InfeasibleStart):
+    with pytest.raises(NoConvergence, match="tiny: initial state lies off "
+                                            "the cone"):
         solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
+
+
+def test_failed_start_drops_only_itself(monkeypatch, grid, cubic_nl,
+                                        cubic_scalar):
+    # a start that raises is one run without a candidate: the certified
+    # scalar_u embedding still wins
+    def failing(init, params, max_iters):
+        raise NoProjection("spy")
+
+    monkeypatch.setattr(coupled_mod, "_run_start", failing)
+    params = EnergyParams(cubic_nl, cubic_nl, 0.5)
+    gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
+    assert gs.state.u is cubic_scalar.profile and gs.iterations == 0
+
+
+def test_handoff_without_projection_keeps_the_embedding(grid):
+    # a property draw whose scalar_pair handoff loses W > 0 on projection
+    # (W = -3.2e-9): that start drops out, and scalar_u is the ground state
+    f = power_sum([(0.5779227699391589, 3.3392584809375725)] * 2)
+    params = EnergyParams(f, power_sum([(0.5, 1.2)]), 0.2)
+    gs = solve_coupled(params, grid)
+    assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
+    assert gs.m == pytest.approx(13.170089128943363, rel=1e-12)
+    certify(gs, params)
+    assert energy_mod.morse_index(gs.state, params) == 1
 
 
 def test_descend_rejects_infeasible_state(grid, cubic_nl):
@@ -350,9 +377,13 @@ def test_coarse_grid_cannot_certify(monkeypatch, cubic_nl):
     base = solve_scalar(cubic_nl, g)
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     rounds = _count_rounds(monkeypatch)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence) as exc:
         solve_coupled(params, g, baselines=(base, base))
     assert rounds == [coupled_mod.ROUND] * 8
+    # the one failure names every run with its reason
+    for name in ("scalar_u", "scalar_v", "scalar_pair", "perturbed_scalar",
+                 "random_0", "random_1"):
+        assert f"{name}: certificate clause violated" in str(exc.value)
 
 
 _TERMS = st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(1.2, 4.5)),

@@ -96,6 +96,8 @@ def test_sweep_validation(mid_grid):
     with pytest.raises(ValueError):
         sweep(params, [0.5, -1.0], mid_grid)
     with pytest.raises(ValueError):
+        sweep(params, [0.5, math.inf], mid_grid)
+    with pytest.raises(ValueError):
         sweep(params, [2.0, 1.0], mid_grid)
     empty = sweep(params, [], mid_grid)
     assert empty.rows == ()
@@ -128,6 +130,8 @@ def test_bisect_validation(mid_grid):
         bisect_beta0(params, (0.0, 1.0), 0.1, mid_grid)
     with pytest.raises(InvalidBracket):
         bisect_beta0(params, (2.0, 1.0), 0.1, mid_grid)
+    with pytest.raises(InvalidBracket):
+        bisect_beta0(params, (0.5, math.inf), 0.1, mid_grid)
     with pytest.raises(InvalidBracket):
         bisect_beta0(params, (0.5, 1.5), -0.1, mid_grid)
 
