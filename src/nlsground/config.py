@@ -22,7 +22,6 @@ __all__ = ["RunConfig", "parse_config", "load_config"]
 _GRID_KEYS = {"grid.R", "grid.N"}
 _NL_KEYS = {"family", "terms", "amplitude"}
 _TOP_KEYS = {"beta", "beta_list", "seed", "output.dir"}
-_SOLVER_KEYS = {"solver.max_iters", "solver.init_strategy", "solver.n_random"}
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ def _build_nonlinearity(pairs: dict[str, object], prefix: str) -> Nonlinearity |
 
 def parse_config(text: str) -> RunConfig:
     pairs = _parse_lines(text)
-    known = _GRID_KEYS | _TOP_KEYS | _SOLVER_KEYS
+    known = _GRID_KEYS | _TOP_KEYS
     unknown = [k for k in pairs
                if k not in known
                and not k.startswith("f.") and not k.startswith("g.")]
@@ -139,9 +138,8 @@ def parse_config(text: str) -> RunConfig:
         if sorted(beta_list) != list(beta_list):
             raise ConfigError("beta_list must be sorted ascending")
 
-    solver_kw = {k.split(".", 1)[1]: pairs[k] for k in _SOLVER_KEYS if k in pairs}
     try:
-        solver = SolveConfig(seed=pairs.get("seed", 0), **solver_kw)
+        solver = SolveConfig(seed=pairs.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

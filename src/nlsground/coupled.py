@@ -6,22 +6,24 @@ is dilation-invariant, finite exactly on the cone W > 0, and its minimum
 over that cone equals the constrained minimum over the manifold.  The
 solver therefore runs an unconstrained preconditioned descent on Φ
 (rejecting trial steps that leave the cone), but only to find the basin:
-it runs in rounds of 50 iterations, and after each round a
-copy of the iterate is projected onto the manifold by the closed-form
-dilation, polished to the exact discrete critical point with the damped
-Newton iteration on the full coupled system (`nlsground.energy.newton`),
-and projected once more — the last projection moves the state by O(J)
-and restores J = 0 to roundoff while the Newton step has already made
-the PDE residual tiny.  A minimizer on the manifold has Morse index 1 in
-the radial space, so `_candidate`, the one accept gate, takes a state
-that `certify`, the one a-posteriori certificate, accepts and whose
-`nlsground.energy.morse_index` is 1.  A start ends on the first handoff it
-takes; otherwise the descent resumes from where it was.  A start whose
-handoffs polish twice in a row to one action (a saddle, or a state the
-grid is too coarse to certify) ends there with no candidate, as does one
-whose round ends in Armijo failure or whose `max_iters` runs out.  The two
-scalar embeddings pass the same gate, and a start that raises drops only
-itself.  The CLI judges states with `certify` too.
+it runs in rounds of 50 iterations, and after each round the iterate is
+projected onto the manifold by the closed-form dilation, polished to the
+exact discrete critical point with the damped Newton iteration on the
+full coupled system (`nlsground.energy.newton`), and projected once more
+— the last projection moves the state by O(J) and restores J = 0 to
+roundoff while the Newton step has already made the PDE residual tiny.
+A minimizer on the manifold has Morse index 1 in the radial space, so
+`_candidate`, the one accept gate, takes a state that `certify`, the one
+a-posteriori certificate, accepts and whose `nlsground.energy.morse_index`
+is 1.  A start ends on the first handoff it takes; otherwise the next
+round descends from the projected iterate, the start's one state: Φ is
+flat along dilations, and without the projection the iterate drifts off
+the grid's scale along them.  A start whose handoffs polish twice in a
+row to one action (a saddle, or a state the grid is too coarse to
+certify) ends there with no candidate, as does one whose round ends in
+Armijo failure or whose `max_iters` runs out.  The two scalar embeddings
+pass the same gate, and a start that raises drops only itself.  The CLI
+judges states with `certify` too.
 `nlsground.scalar.solve_scalar` is one round of this on (w, 0).
 
 The weighted gradient of Φ is
@@ -46,9 +48,9 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .energy import (EnergyParams, EnergyReport, _laplacian_band, _terms,
-                     _variation, energy_I, energy_report, morse_index, newton,
-                     project_pohozaev)
+from .energy import (EnergyParams, EnergyReport, _laplacian_band, _phi_value,
+                     _terms, _variation, energy_I, energy_report, morse_index,
+                     newton, project_pohozaev)
 from .energy import residuals  # noqa: F401  bound for perfbench tracer.PLAN
 from .errors import (CertificationFailure, InfeasibleStart, NegativeBeta,
                      NoConvergence, NoProjection, NumericalError, ZeroState)
@@ -65,6 +67,7 @@ CERT_TOL = 1e-6        # |J| and |I − K/3| against 1 + K
 CERT_RESIDUAL = 1e-5   # each relative PDE residual
 TIE_REL = 1e-12        # candidate energies this close count as equal
 ROUND = 50             # descent iterations between Newton handoffs
+N_RANDOM = 2           # random Gaussian starts
 
 
 class Kind(enum.Enum):
@@ -84,11 +87,10 @@ class InitStrategy(enum.Enum):
 class SolveConfig:
     max_iters: int = 20000
     init_strategy: InitStrategy | str = InitStrategy.ALL
-    n_random: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("max_iters", 1), ("n_random", 0), ("seed", 0)):
+        for name, low in (("max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
@@ -152,13 +154,6 @@ def certify(gs: GroundState | State, params: EnergyParams) -> EnergyReport:
 def _phi_terms(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
     K, M, P = _terms(grid, u, v, params)
     return K, P - 0.5 * M
-
-
-def _phi_value(K: float, W: float) -> float:
-    """Φ on the cone 0 < K, W < ∞ and +∞ off it (W = ∞ would read Φ = 0)."""
-    if not (0.0 < K < math.inf and 0.0 < W < math.inf):
-        return math.inf
-    return (K / 3.0) ** 1.5 / math.sqrt(2.0 * W)
 
 
 def _phi_gradient(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams,
@@ -270,7 +265,7 @@ def _initial_states(params: EnergyParams, grid: RadialGrid, cfg: SolveConfig,
                       State(Profile(grid, 1.2 * u0), Profile(grid, 0.6 * v0))))
     if want(InitStrategy.RANDOM_GAUSSIANS):
         rng = np.random.default_rng(cfg.seed)
-        for k in range(cfg.n_random):
+        for k in range(N_RANDOM):
             au, av = rng.uniform(1.5, 4.0, size=2)
             su, sv = rng.uniform(0.9, 2.0, size=2)
             pu = Profile.from_callable(grid, lambda r: au * np.exp(-r ** 2 / (2 * su ** 2)))
@@ -321,16 +316,18 @@ def _candidate(state: State, params: EnergyParams, iterations: int):
 def _run_start(init: State, params: EnergyParams, max_iters: int):
     """Descend from `init` in rounds of ROUND, handing each iterate to Newton.
 
-    After each round a copy of the iterate is projected and polished, and
-    `_candidate` judges it; an accepted state ends the start.  So do two
-    handoffs in a row whose Newton outputs have one action (within TIE_REL,
-    accepted or not): the descent keeps returning to a critical point that
-    cannot win, a saddle (for f = g the Φ-flow keeps the symmetric subspace
-    invariant, so the scalar pair never leaves it) or a state too coarse to
-    certify.  A round cut short by Armijo failure, or `max_iters` in all,
-    ends the start too; anything else resumes the descent from the iterate
-    as it was before Newton.  Returns (accepted state, "") or (None, the
-    last rejection and the iteration count).
+    After each round the iterate is projected onto the manifold, and that
+    projection is the start's one state: Newton polishes it, `_candidate`
+    judges the polished state, and the next round descends from it.  An
+    accepted state ends the start.  So do two handoffs in a row whose
+    Newton outputs have one action (within TIE_REL, accepted or not): the
+    descent keeps returning to a critical point that cannot win, a saddle
+    (for f = g the Φ-flow keeps the symmetric subspace invariant, so the
+    scalar pair never leaves it) or a state too coarse to certify.  A round
+    cut short by Armijo failure, or `max_iters` in all, ends the start too:
+    a projection breaks `_descend`'s tie y₀ = y₁, so a descent that cannot
+    move still hands Newton a new state each round.  Returns (accepted
+    state, "") or (None, the last rejection and the iteration count).
     """
     state, done = init, 0
     last = None
@@ -338,8 +335,8 @@ def _run_start(init: State, params: EnergyParams, max_iters: int):
         budget = min(ROUND, max_iters - done)
         state, iters, _ = _descend(state, params, budget)
         done += iters
-        projected, _ = project_pohozaev(state, params)
-        polished = _coupled_newton(projected, params)
+        state, _ = project_pohozaev(state, params)
+        polished = _coupled_newton(state, params)
         gs, reason = _candidate(polished, params, done)
         if gs is not None:
             return gs, ""

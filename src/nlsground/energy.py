@@ -259,8 +259,9 @@ def project_pohozaev(state: State, params: EnergyParams) -> tuple[State, float]:
     the exact identity, the residual contracts by O(h²) per pass and two
     or three passes reach roundoff.  A state already on the manifold is
     returned unchanged with t̄ = 1.  Raises ZeroState for the origin and
-    NoProjection when W ≤ 0 (the dilation ray never meets the manifold),
-    before any pass: interpolating a core narrower than h can lose W > 0.
+    NoProjection off the cone 0 < K, W < ∞ (W ≤ 0: the dilation ray never
+    meets the manifold; W = ∞ or NaN: the terms overflow), before any
+    pass: interpolating a core narrower than h can lose W > 0.
     """
     K, W = _cone_terms(state, params)
     tbar = 1.0
@@ -275,14 +276,21 @@ def project_pohozaev(state: State, params: EnergyParams) -> tuple[State, float]:
     return state, tbar
 
 
+def _phi_value(K: float, W: float) -> float:
+    """Φ on the cone 0 < K, W < ∞ and +∞ off it (W = ∞ would read Φ = 0)."""
+    if not (0.0 < K < math.inf and 0.0 < W < math.inf):
+        return math.inf
+    return (K / 3.0) ** 1.5 / math.sqrt(2.0 * W)
+
+
 def _cone_terms(state: State, params: EnergyParams) -> tuple[float, float]:
-    """(K, W) of a state whose dilation ray meets the manifold."""
+    """(K, W) of a state on the cone, where `_phi_value` is finite."""
     K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
     if K == 0.0 and M == 0.0:
         raise ZeroState("cannot project the zero state")
     W = P - 0.5 * M
-    if not W > 0.0:
-        raise NoProjection(f"W={W:.6g} <= 0: dilation ray misses the manifold")
+    if _phi_value(K, W) == math.inf:
+        raise NoProjection(f"K={K:.6g}, W={W:.6g}: off the cone 0 < K, W < inf")
     return K, W
 
 
@@ -290,13 +298,9 @@ def projected_energy(state: State, params: EnergyParams) -> float:
     """Closed-form action after projection: (K/3)^{3/2} (2W)^{-1/2}.
 
     Dilation-invariant in exact arithmetic, since K scales like t and W
-    like t³ along the ray.
+    like t³ along the ray.  Raises as `project_pohozaev` does.
     """
-    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
-    W = P - 0.5 * M
-    if W <= 0.0:
-        raise NoProjection(f"W={W:.6g} <= 0: dilation ray misses the manifold")
-    return (K / 3.0) ** 1.5 / math.sqrt(2.0 * W)
+    return _phi_value(*_cone_terms(state, params))
 
 
 def energy_report(state: State, params: EnergyParams) -> EnergyReport:

@@ -61,7 +61,7 @@ class NoConvergence(NumericalError):
 
 
 class NoProjection(NumericalError):
-    """The dilation ray never meets the constraint set (W <= 0)."""
+    """Off the cone 0 < K, W < inf: W <= 0 misses J = 0, W = inf overflows."""
 
 
 class InfeasibleStart(NumericalError):

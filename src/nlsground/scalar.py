@@ -141,12 +141,11 @@ def shoot(nl: Nonlinearity, a: float, cfg: ShootingConfig = ShootingConfig()) ->
     return _integrate(nl, a, dt, SHOOT_RADIUS)
 
 
-def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig, dt: float,
-                      r_max: float) -> float:
+def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig) -> float:
     """The RK4 reference w(0): bisect TurnsUp against Crosses in the bracket."""
     def classify(a: float) -> Outcome:
         try:
-            res = _integrate(nl, a, dt, r_max)
+            res = shoot(nl, a, cfg)
         except Blowup:
             return Outcome.CROSSES    # too large an amplitude: an overshoot
         return res.outcome

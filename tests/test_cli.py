@@ -110,7 +110,6 @@ def test_coupled_certification_failure_leaves_no_state(monkeypatch, tmp_path):
 f.family = cubic
 beta = 2.0
 grid.N = 1600
-solver.init_strategy = scalar_pair
 output.dir = {tmp_path / 'out'}
 """)
     code, out, err = run_cli("coupled", conf)

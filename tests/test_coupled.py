@@ -31,6 +31,12 @@ def test_solve_config_validation():
     assert cfg.init_strategy is InitStrategy.SCALAR_PAIR
 
 
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_solve_config_max_iters_must_be_integer(bad):
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        SolveConfig(max_iters=bad)
+
+
 def test_classify_kinds(grid):
     u = Profile.from_callable(grid, lambda r: np.exp(-r ** 2 / 2.0))
     zero = Profile.zero(grid)
@@ -366,6 +372,35 @@ def test_start_that_cannot_win_ends_in_rounds(monkeypatch, cubic_nl):
     assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
     assert gs.m == pytest.approx(18.897202351262, rel=1e-12)
     assert len(rounds) <= 10 and set(rounds) == {coupled_mod.ROUND}
+
+
+def test_start_resumes_from_its_projection(monkeypatch):
+    # a peaked g (w_g(0) = 140) lets the descent iterate drift far along its
+    # dilation ray; resuming from each handoff's projection keeps it on
+    # scale, so every start ends within a few rounds
+    g = RadialGrid(R=20.0, N=400)
+    params = EnergyParams(power_sum([(0.5, 1.2), (0.5, 1.2)]),
+                          power_sum([(0.5, 1.2)]), 2.9418)
+    base_u, base_v = coupled_mod.scalar_baselines(params, g)
+    rounds = _count_rounds(monkeypatch)
+    with pytest.raises(NumericalError):
+        solve_coupled(params, g, baselines=(base_u, base_v))
+    assert len(rounds) <= 20
+
+
+def test_scalar_pair_needs_more_than_one_round(monkeypatch):
+    # both embeddings have Morse index > 1, so only a descent start can give
+    # the vector state, and its first handoff is not yet in the basin
+    g = RadialGrid(R=20.0, N=1200)
+    params = EnergyParams(power_sum([(0.5, 1.3483990280942597)]),
+                          power_sum([(0.5, 1.2)]), 0.2)
+    base_u, base_v = coupled_mod.scalar_baselines(params, g)
+    rounds = _count_rounds(monkeypatch)
+    gs = solve_coupled(params, g, SolveConfig(init_strategy="scalar_pair"),
+                       baselines=(base_u, base_v))
+    assert gs.kind is Kind.VECTOR
+    assert gs.m == pytest.approx(127.649453939963, rel=1e-9)
+    assert 1 < len(rounds) <= 5
 
 
 def test_coarse_grid_cannot_certify(monkeypatch, cubic_nl):

@@ -104,6 +104,26 @@ def test_projection_errors(grid):
         projected_energy(tiny, params)
 
 
+@pytest.mark.parametrize("shape", [
+    pytest.param(lambda r: np.exp(-(r - 5.0) ** 2), id="ring-W-inf"),
+    pytest.param(lambda r: np.exp(-r ** 2 / 2.0), id="bump-W-nan"),
+])
+def test_overflowing_terms_lie_off_the_cone(shape):
+    # at amplitude 1e62 the p = 4.9 potential overflows: the ring has W = inf
+    # (which would read Φ = 0 and t̄ = 0), the bump W = nan (0·inf at r = 0);
+    # both are off the cone, as `_phi_value` reads them
+    g = RadialGrid(R=20.0, N=400)
+    nl = power_sum([(1.0, 4.9)])
+    params = EnergyParams(nl, nl, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = State(Profile.from_callable(g, lambda r: 1e62 * shape(r)),
+                   Profile.zero(g))
+        with pytest.raises(NoProjection, match="off the cone"):
+            projected_energy(st, params)
+        with pytest.raises(NoProjection, match="off the cone"):
+            project_pohozaev(st, params)
+
+
 def test_projection_that_loses_the_cone_raises_no_projection():
     # 50 descent iterations from 2·e^{−r²/2} leave a spike with u(0) ≈ 62
     # and W ≈ 9e7 at h = 0.05; its first dilation shrinks the core below h,

@@ -78,8 +78,8 @@ def test_bracket_without_transition_fails():
     # every amplitude below the critical one turns up: no sign change to find
     g = RadialGrid(R=20.0, N=500)
     with pytest.raises(BracketFailure):
-        _bisect_amplitude(cubic(), ShootingConfig(a_min=0.1, a_max=2.0),
-                          g.h / 4.0, g.R)
+        _bisect_amplitude(cubic(), ShootingConfig(a_min=0.1, a_max=2.0,
+                                                  ode_step=g.h / 4.0))
 
 
 def test_linear_equation_has_no_ground_state():
@@ -108,7 +108,7 @@ def test_blowup_counts_as_overshoot(nl, N, resolved):
     cfg = ShootingConfig(ode_step=g.h / 4.0)
     with pytest.raises(Blowup):
         shoot(nl, 50.0, cfg)
-    assert cfg.a_min < _bisect_amplitude(nl, cfg, g.h / 4.0, g.R) < cfg.a_max
+    assert cfg.a_min < _bisect_amplitude(nl, cfg) < cfg.a_max
     if not resolved:
         # h = 0.05 under-resolves the p = 4.5 core: the discrete critical
         # point that the shooting amplitude seeds has Morse index 0
@@ -133,7 +133,7 @@ def test_underresolved_core_names_amplitude_and_step():
 def test_center_matches_rk4_reference(nl):
     # the fixed-step RK4 bisection is an independent solver of the same ODE
     g = RadialGrid(R=20.0, N=4000)
-    a_ref = _bisect_amplitude(nl, ShootingConfig(), g.h / 4.0, g.R)
+    a_ref = _bisect_amplitude(nl, ShootingConfig(ode_step=g.h / 4.0))
     assert solve_scalar(nl, g).center_value == pytest.approx(a_ref, rel=1e-3)
 
 
