@@ -35,8 +35,9 @@ coincides with the PDE residual — criticality of Φ and of the action
 agree there, which is the natural-constraint property in discrete form.
 It is `nlsground.energy._variation` with these weights; the descent's
 (I − Δ_h) preconditioner is built from the same −Δ_h bands as the Newton
-Jacobian, factored once per round (LAPACK `gttrf`) and applied once per
-iteration (`gttrs`).
+Jacobian.  Scaled by the quadrature weights it is symmetric positive
+definite, so it is factored once per round without pivoting (LAPACK
+`pttrf`) and applied once per iteration (`pttrs`).
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .energy import (EnergyParams, EnergyReport, _laplacian_band, _phi_value,
                      _terms, _variation, energy_I, energy_report, morse_index,
@@ -167,26 +168,30 @@ def _phi_gradient(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams,
 
 
 def _factor_preconditioner(grid):
-    """LU factors of (I − Δ_h) on nodes 1..N−1, for `_precondition`.
+    """LDLᵀ factors of W(I − Δ_h) on nodes 1..N−1, for `_precondition`.
 
-    The tie d_0 = d_1 cancels row 1's flux to node 0, which leaves row 1's
-    Laplacian diagonal at −upper[1]; d_N = 0 is the Dirichlet node.
+    W = diag(w) makes the flux stencil symmetric positive definite: row i's
+    off-diagonals are both −flux_i.  The tie d_0 = d_1 cancels row 1's flux
+    to node 0, which leaves row 1's Laplacian diagonal at −upper[1];
+    d_N = 0 is the Dirichlet node.  Returns (w, d, e).
     """
-    diag, upper, lower = _laplacian_band(grid)
-    d = 1.0 + diag[1:]
-    d[0] = 1.0 - upper[1]
-    *lu, info = dgttrf(lower[1:], d, upper[1:])
+    w = grid.w[1:grid.N]
+    diag, upper, _ = _laplacian_band(grid)
+    d = w * (1.0 + diag[1:])
+    d[0] = w[0] * (1.0 - upper[1])
+    d, e, info = dpttrf(d, w[:-1] * upper[1:])
     if info != 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return lu
+        raise np.linalg.LinAlgError("matrix not positive definite")
+    return w, d, e
 
 
-def _precondition(lu, gu: np.ndarray, gv: np.ndarray):
-    """Solve (I − Δ_h) d = g for both components with the factors `lu`."""
+def _precondition(factors, gu: np.ndarray, gv: np.ndarray):
+    """Solve (I − Δ_h) d = g for both components as W(I − Δ_h) d = W g."""
+    w, dd, e = factors
     rhs = np.empty((2, gu.size - 2))
-    rhs[0] = gu[1:-1]
-    rhs[1] = gv[1:-1]
-    x, _ = dgttrs(*lu, rhs.T, overwrite_b=1)    # rhs.T is Fortran-ordered
+    np.multiply(w, gu[1:-1], out=rhs[0])
+    np.multiply(w, gv[1:-1], out=rhs[1])
+    x, _ = dpttrs(dd, e, rhs.T, overwrite_b=1)   # rhs.T is Fortran-ordered
     d = np.zeros((2, gu.size))
     d[:, 1:-1] = x.T
     d[:, 0] = d[:, 1]
@@ -209,7 +214,7 @@ def _descend(state: State, params: EnergyParams, max_iters: int):
     phi = _phi_value(K, W)
     if phi == math.inf:
         raise InfeasibleStart("initial state lies off the cone 0 < K, W < inf")
-    lu = _factor_preconditioner(gr)
+    factors = _factor_preconditioner(gr)
     it = 0
     gnorm = math.inf
     while it < max_iters:
@@ -219,7 +224,7 @@ def _descend(state: State, params: EnergyParams, max_iters: int):
         if not math.isfinite(gnorm) and not (np.isfinite(gu).all()
                                              and np.isfinite(gv).all()):
             raise NoConvergence(f"non-finite descent gradient at iteration {it}")
-        du, dv = _precondition(lu, gu, gv)
+        du, dv = _precondition(factors, gu, gv)
         slope = float(gr.w @ (gu * du) + gr.w @ (gv * dv))
         it += 1
         s = 1.0

@@ -5,26 +5,33 @@ pair and both components switch on.  Two instruments locate that
 transition: an analytic upper-bound comparison (the projected energy of
 the unprojected scalar pair against the best scalar action — a sufficient
 condition for the vector regime, since the pair is an admissible
-competitor), and the solver itself, swept over a β grid and refined by
-bisection on the returned kind.  The bound crossing and the observed kind
-transition need not coincide: the pair is not the optimal vector
-competitor, so its crossing happens later.  Both are reported; neither is
-claimed sharp.
+competitor), and the solver itself, swept over a β grid.  The ground
+state is the least-action state on the manifold, so inside a bracket
+whose end solves differ in kind the transition β₀ is the energy crossing
+m_vec(β) = S of the vector branch with the least scalar action;
+`bisect_beta0` continues the certified vector state in β and runs a
+safeguarded secant on that difference.  The bound crossing and the
+observed transition need not coincide: the pair is not the optimal vector
+competitor, so its crossing happens later.  Both are reported; the bound
+is not claimed sharp.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .coupled import Kind, SolveConfig, scalar_baselines, solve_coupled
+from .coupled import (Kind, SolveConfig, _coupled_newton, _settle_on_manifold,
+                      certify, classify, scalar_baselines, solve_coupled)
 from .energy import EnergyParams, projected_energy
-from .errors import InvalidBracket, NumericalError
+from .errors import InvalidBracket, NoConvergence, NumericalError, ZeroState
 from .grid import RadialGrid, State
 from .scalar import ScalarGroundState
 from .scalar import solve_scalar  # noqa: F401  bound for perfbench tracer.PLAN
 
 __all__ = ["SweepRow", "SweepResult", "compare_energies", "sweep",
            "bisect_beta0"]
+
+MAX_STEPS = 64         # branch steps before `bisect_beta0` gives up
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,21 @@ def sweep(params_base: EnergyParams, beta_list: list[float], grid: RadialGrid,
 def bisect_beta0(params_base: EnergyParams, bracket: tuple[float, float],
                  tol: float, grid: RadialGrid,
                  cfg: SolveConfig = SolveConfig()) -> float:
-    """Bisect the solver's kind transition inside `bracket` to width `tol`."""
+    """β₀ where the vector branch's action m_vec(β) crosses S = min(S_f, S_g).
+
+    Full solves at the two ends of `bracket` must disagree on the kind;
+    they confirm the transition.  The vector end's state is then continued
+    in β: each branch step runs `_coupled_newton` at the trial β from the
+    nearest certified branch state, then `_settle_on_manifold`, `certify`
+    and `classify`.  Steps are certified but not gated on Morse index: the
+    cubic branch has index 2 below β = 1.  A safeguarded secant on
+    m_vec(β) − S through the last two branch states picks each trial β; a
+    secant point outside the bracket, or a lack of two states, bisects it.
+    A step that raises, fails the certificate or leaves the vector kind
+    counts as the non-vector side.  `tol` bounds the secant's β step and
+    the bracket width: the search returns its next trial β once either is
+    ≤ `tol`.
+    """
     lo, hi = bracket
     if not (0.0 < lo < hi < math.inf):
         raise InvalidBracket(f"need 0 < lo < hi < inf, got ({lo}, {hi})")
@@ -117,21 +138,56 @@ def bisect_beta0(params_base: EnergyParams, bracket: tuple[float, float],
         raise InvalidBracket("tol must be positive")
 
     base_u, base_v = scalar_baselines(params_base, grid)
+    scalar_min = min(base_u.action, base_v.action)
 
-    def kind_at(beta: float) -> bool:
-        params = EnergyParams(params_base.f, params_base.g, beta)
-        return solve_coupled(params, grid, cfg,
-                             baselines=(base_u, base_v)).kind is Kind.VECTOR
+    def at(beta: float) -> EnergyParams:
+        return EnergyParams(params_base.f, params_base.g, beta)
 
-    klo = kind_at(lo)
-    khi = kind_at(hi)
+    ends = [solve_coupled(at(b), grid, cfg, baselines=(base_u, base_v))
+            for b in (lo, hi)]
+    klo, khi = (gs.kind is Kind.VECTOR for gs in ends)
     if klo == khi:
         raise InvalidBracket(
             f"endpoints agree (vector={klo}); no transition inside ({lo}, {hi})")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if kind_at(mid) == klo:
-            lo = mid
+    # the bracket as (non-vector side, vector side); branch: (β, state, m − S)
+    b_s, b_v = (lo, hi) if khi else (hi, lo)
+    start = ends[1] if khi else ends[0]
+    branch = [(b_v, start.state, start.m - scalar_min)]
+
+    def branch_step(beta: float) -> float | None:
+        """m_vec(β) − S from a certified vector step, else None."""
+        params = at(beta)
+        _, seed, _ = min(branch, key=lambda p: abs(p[0] - beta))
+        try:
+            state = _settle_on_manifold(_coupled_newton(seed, params), params)
+            rep = certify(state, params)
+            if classify(state) is not Kind.VECTOR:
+                return None
+        except (NumericalError, ZeroState):
+            return None
+        gap = rep.I - scalar_min
+        branch.append((beta, state, gap))
+        return gap
+
+    last = b_v
+    for _ in range(MAX_STEPS):
+        trial = math.nan
+        if len(branch) >= 2:
+            (b1, _, g1), (b2, _, g2) = branch[-2:]
+            if g1 != g2:
+                trial = b2 - g2 * (b2 - b1) / (g2 - g1)
+        if not min(b_s, b_v) < trial < max(b_s, b_v):
+            trial = 0.5 * (b_s + b_v)
+        if abs(trial - last) <= tol or abs(b_v - b_s) <= tol:
+            return trial
+        gap = branch_step(trial)
+        if gap == 0.0:     # the cubic's m_vec(1) can equal S to the last bit
+            return trial
+        last = trial
+        if gap is not None and gap < 0.0:
+            b_v = trial
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            b_s = trial
+    raise NoConvergence(f"no β step or bracket ≤ {tol:g} after {MAX_STEPS} "
+                        f"branch steps; bracket ({min(b_s, b_v)}, "
+                        f"{max(b_s, b_v)})")

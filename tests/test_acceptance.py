@@ -202,9 +202,9 @@ def test_criterion_05_symmetric_cubic_vector_oracle(capsys, coupled_beta2,
 def test_criterion_06_threshold_localization(capsys, grid):
     params = EnergyParams(cubic(), cubic(), 1.0)
     beta0 = bisect_beta0(params, (0.9, 1.1), 1e-2, grid)
-    ok = abs(beta0 - 1.0) <= 0.02
+    ok = abs(beta0 - 1.0) <= 1e-8
     _report(capsys, ok, "6. Threshold localization",
-            f"solver kind transition at beta0={beta0:.6f} (1.00±0.02)")
+            f"energy crossing at beta0={beta0:.12f} (1 to 1e-8)")
     assert ok
 
 

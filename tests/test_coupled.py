@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import solveh_banded
 
 import nlsground.coupled as coupled_mod
 import nlsground.energy as energy_mod
@@ -260,21 +260,22 @@ def test_precondition_matches_dense_and_banded_references():
         e = np.zeros(n)
         e[j] = 1.0
         A[1:-1, j] = e[1:-1] - flux_laplacian_interior(g, e)
-    # the banded path the descent used before its factors were held
-    diag, upper, lower = energy_mod._laplacian_band(g)
-    ab = np.zeros((3, g.N - 1))
-    ab[0, 1:] = upper[1:]
-    ab[1, :] = 1.0 + diag[1:]
-    ab[1, 0] = 1.0 - upper[1]
-    ab[2, :-1] = lower[1:]
+    # the symmetric banded path the held factors reproduce: W(I − Δ_h) on
+    # nodes 1..N−1 with W = diag(w), against the right-hand side W·g
+    diag, upper, _ = energy_mod._laplacian_band(g)
+    w = g.w[1:-1]
+    ab = np.zeros((2, g.N - 1))
+    ab[0, 1:] = w[:-1] * upper[1:]
+    ab[1, :] = w * (1.0 + diag[1:])
+    ab[1, 0] = w[0] * (1.0 - upper[1])
 
-    lu = coupled_mod._factor_preconditioner(g)
+    factors = coupled_mod._factor_preconditioner(g)
     rng = np.random.default_rng(7)
     for _ in range(3):
         gu, gv = rng.standard_normal((2, n))
         gu[0] = gv[0] = gu[-1] = gv[-1] = 0.0
-        du, dv = coupled_mod._precondition(lu, gu.copy(), gv.copy())
-        banded = solve_banded((1, 1), ab, np.stack((gu, gv), 1)[1:-1])
+        du, dv = coupled_mod._precondition(factors, gu.copy(), gv.copy())
+        banded = solveh_banded(ab, w[:, None] * np.stack((gu, gv), 1)[1:-1])
         for d, rhs, col in ((du, gu, 0), (dv, gv, 1)):
             ref = np.linalg.solve(A, rhs)
             assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import nlsground.threshold as threshold_mod
-from nlsground.coupled import Kind
+from nlsground.coupled import Kind, solve_coupled
 from nlsground.energy import EnergyParams
-from nlsground.errors import InvalidBracket, NoConvergence
+from nlsground.errors import InvalidBracket, NoConvergence, NumericalError
 from nlsground.grid import RadialGrid, integrate, kinetic
-from nlsground.nonlinearity import cubic, eval_F
+from nlsground.nonlinearity import cubic, eval_F, log_enhanced
 from nlsground.scalar import solve_scalar
 from nlsground.threshold import (SweepRow, bisect_beta0, compare_energies,
                                  sweep)
@@ -147,3 +147,64 @@ def test_bisect_narrows_towards_unity(mid_grid):
     b0 = bisect_beta0(params, (0.8, 1.25), 0.25, mid_grid)
     assert 0.8 < b0 < 1.25
     assert abs(b0 - 1.0) <= 0.15
+
+
+@pytest.mark.parametrize("bracket, tol", [((0.9, 1.1), 1e-2),
+                                          ((0.5, 2.0), 1e-8)])
+def test_bisect_finds_cubic_crossing_with_two_solves(monkeypatch, grid,
+                                                     bracket, tol):
+    # the symmetric vector branch has m = 2S/(1+β): it crosses S at β = 1
+    # on every grid, and only the two endpoint solves are full solves
+    calls = []
+    real_solve = threshold_mod.solve_coupled
+
+    def spy(params, grid, cfg, baselines):
+        calls.append(params.beta)
+        return real_solve(params, grid, cfg, baselines=baselines)
+
+    monkeypatch.setattr(threshold_mod, "solve_coupled", spy)
+    params = EnergyParams(cubic(), cubic(), 1.0)
+    b0 = bisect_beta0(params, bracket, tol, grid)
+    assert abs(b0 - 1.0) <= 1e-8
+    assert calls == list(bracket)
+
+
+def test_bisect_log_crossing_is_the_kind_transition(grid):
+    # first order: the vector branch is a local minimizer on both sides of
+    # β₀, and the full solve changes kind where the actions cross
+    nl = log_enhanced()
+    tol = 1e-4
+    b0 = bisect_beta0(EnergyParams(nl, nl, 1.0), (0.3, 0.45), tol, grid)
+    assert b0 == pytest.approx(0.38902348462, abs=tol)
+    below = solve_coupled(EnergyParams(nl, nl, b0 - 2.0 * tol), grid)
+    above = solve_coupled(EnergyParams(nl, nl, b0 + 2.0 * tol), grid)
+    assert below.kind is Kind.SCALAR_U
+    assert above.kind is Kind.VECTOR
+
+
+@pytest.mark.parametrize("cut", [1.05, math.inf])
+def test_bisect_counts_failed_branch_steps_as_non_vector(monkeypatch,
+                                                          mid_grid, cut):
+    # a Newton that loses the branch below `cut`; with cut = inf every
+    # step fails and the search is plain bisection
+    real_newton = threshold_mod._coupled_newton
+
+    def flaky(state, params):
+        if params.beta < cut:
+            raise NoConvergence("synthetic branch failure")
+        return real_newton(state, params)
+
+    monkeypatch.setattr(threshold_mod, "_coupled_newton", flaky)
+    params = EnergyParams(cubic(), cubic(), 1.0)
+    try:
+        b0 = bisect_beta0(params, (0.9, 1.1), 1e-2, mid_grid)
+    except NumericalError:
+        return
+    assert 0.9 < b0 < 1.1
+
+
+def test_bisect_step_budget_raises(monkeypatch, mid_grid):
+    monkeypatch.setattr(threshold_mod, "MAX_STEPS", 1)
+    params = EnergyParams(cubic(), cubic(), 1.0)
+    with pytest.raises(NoConvergence, match="after 1 branch steps"):
+        bisect_beta0(params, (0.5, 2.0), 1e-8, mid_grid)
