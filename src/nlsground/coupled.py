@@ -22,8 +22,9 @@ the grid's scale along them.  A start whose handoffs polish twice in a
 row to one action (a saddle, or a state the grid is too coarse to
 certify) ends there with no candidate, as does one whose round ends in
 Armijo failure or whose `max_iters` runs out.  The two scalar embeddings
-pass the same gate, and a start that raises drops only itself.  The CLI
-judges states with `certify` too.
+pass the same gate, a start that raises drops only itself, and the
+lesser projected action Φ_h of the embeddings bounds the answer: a state
+above it is rejected.  The CLI judges states with `certify` too.
 `nlsground.scalar.solve_scalar` is one round of this on (w, 0).
 
 The weighted gradient of Φ is
@@ -51,7 +52,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .energy import (EnergyParams, EnergyReport, _laplacian_band, _phi_value,
                      _terms, _variation, energy_I, energy_report, morse_index,
-                     newton, project_pohozaev)
+                     newton, project_pohozaev, projected_energy)
 from .energy import residuals  # noqa: F401  bound for perfbench tracer.PLAN
 from .errors import (CertificationFailure, InfeasibleStart, NegativeBeta,
                      NoConvergence, NoProjection, NumericalError, ZeroState)
@@ -297,25 +298,30 @@ def _settle_on_manifold(state: State, params: EnergyParams) -> State:
     return settled
 
 
+def _judge(state: State, params: EnergyParams, iterations: int) -> GroundState:
+    """Settle, `certify` and `classify` a state; raises what they raise."""
+    state = _settle_on_manifold(state, params)
+    rep = certify(state, params)
+    return GroundState(state=state, m=rep.I, kind=classify(state),
+                       residuals=(rep.residual_u, rep.residual_v),
+                       iterations=iterations)
+
+
 def _candidate(state: State, params: EnergyParams, iterations: int):
-    """The one accept gate: settle, `certify`, `classify`, Morse index 1.
+    """The one accept gate: `_judge`, then Morse index 1.
 
     Returns (GroundState, "") or (None, the rejection: the certificate
     clause, the projection error or `Morse index k`).
     """
     try:
-        state = _settle_on_manifold(state, params)
-        rep = certify(state, params)
-        kind = classify(state)
+        gs = _judge(state, params, iterations)
     except (NoProjection, ZeroState, CertificationFailure) as exc:
         return None, str(exc)
     # on the manifold the dilation direction is negative: a saddle has ≥ 2
-    index = morse_index(state, params)
+    index = morse_index(gs.state, params)
     if index != 1:
         return None, f"Morse index {index}"
-    return GroundState(state=state, m=rep.I, kind=kind,
-                       residuals=(rep.residual_u, rep.residual_v),
-                       iterations=iterations), ""
+    return gs, ""
 
 
 def _run_start(init: State, params: EnergyParams, max_iters: int):
@@ -366,28 +372,37 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
     """Lowest-energy state among scalar embeddings and coupled descent runs.
 
     `_candidate` judges the two embeddings and every start's handoffs
-    alike; a start that raises drops only itself, and when no run gives a
-    state one `NoConvergence` names each run's reason.  β must be positive
-    and finite; `baselines` lets callers (the β sweep) reuse the scalar
-    solves, which do not depend on β.
+    alike; a start that raises drops only itself.  The embeddings lie on
+    rays that cross the manifold, so the lesser of their Φ_h bounds the
+    ground level: a state above it (beyond TIE_REL) is rejected too.  When
+    no run gives a state one `NoConvergence` names the grid and each run's
+    reason.  β must be positive and finite; `baselines` lets callers (the
+    β sweep) reuse the scalar solves, which do not depend on β.
     """
     if not 0.0 < params.beta < math.inf:
         raise NegativeBeta(f"beta={params.beta}: need 0 < beta < inf")
     base_u, base_v = baselines or scalar_baselines(params, grid)
 
     zero = Profile.zero(grid)
-    runs = [("scalar_u", _candidate(State(base_u.profile, zero), params, 0)),
-            ("scalar_v", _candidate(State(zero, base_v.profile), params, 0))]
+    embeddings = {"scalar_u": State(base_u.profile, zero),
+                  "scalar_v": State(zero, base_v.profile)}
+    runs = [(name, _candidate(e, params, 0)) for name, e in embeddings.items()]
     for name, init in _initial_states(params, grid, cfg, base_u, base_v):
         try:
             runs.append((name, _run_start(init, params, cfg.max_iters)))
         except (NumericalError, ZeroState) as exc:
             runs.append((name, (None, str(exc))))
+    bound = min(projected_energy(e, params) for e in embeddings.values())
+    for i, (name, (gs, _)) in enumerate(runs):
+        if gs is not None and gs.m > bound + TIE_REL * (1.0 + abs(bound)):
+            runs[i] = name, (None, f"m={gs.m:.10g} above the embeddings' "
+                                   f"bound {bound:.10g}")
     candidates = [gs for _, (gs, _) in runs if gs is not None]
     if not candidates:
-        raise NoConvergence("no run gave a certified state of Morse index 1: "
-                            + "; ".join(f"{name}: {reason}"
-                                        for name, (_, reason) in runs))
+        raise NoConvergence(
+            f"no certified state of Morse index 1 within the embeddings' bound "
+            f"on N={grid.N}, h={grid.h:g} (under-resolved? refine N): "
+            + "; ".join(f"{name}: {reason}" for name, (_, reason) in runs))
 
     # deterministic reduction: energies within TIE_REL of the least tie (runs
     # that reach one state differ by roundoff); a tie prefers a vector state,

@@ -19,9 +19,8 @@ derivatives of the energy match its analytic gradient to roundoff.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,54 +216,40 @@ def rearrange(p: Profile) -> Profile:
 # ----------------------------------------------------------------------
 # persistence: CSV with 17-significant-digit floats, one node per row
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_columns(path, header: str, *columns) -> None:
+    # newline="" keeps the CRLF row ends byte-exact on every platform
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=header, comments="", newline="\r\n")
 
 
 def write_profile_csv(p: Profile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["r", "u"])
-        for r, u in zip(p.grid.r, p.values):
-            wr.writerow([_fmt(r), _fmt(u)])
+    _write_columns(path, "r,u", p.grid.r, p.values)
 
 
 def write_state_csv(state: State, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["r", "u", "v"])
-        for r, u, v in zip(state.grid.r, state.u.values, state.v.values):
-            wr.writerow([_fmt(r), _fmt(u), _fmt(v)])
+    _write_columns(path, "r,u,v", state.grid.r, state.u.values, state.v.values)
 
 
 def read_state_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Read `r,u[,v]` columns; returns (r, u, v-or-None). Raises ValueError."""
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is None:
-            raise ValueError("empty CSV")
-        header = [c.strip() for c in header]
-        if header == ["r", "u", "v"]:
-            ncol = 3
-        elif header == ["r", "u"]:
-            ncol = 2
-        else:
-            raise ValueError(f"unexpected CSV header {header}")
-        rows = []
-        for line in rd:
-            if not line:
-                continue
-            if len(line) != ncol:
-                raise ValueError(f"row with {len(line)} fields, expected {ncol}")
-            rows.append([float(x) for x in line])
+    with open(path) as fh:
+        header = fh.readline()
+        rows = [line for line in fh if line.strip()]
+    if not header:
+        raise ValueError("empty CSV")
+    header = [c.strip() for c in header.split(",")]
+    if header not in (["r", "u", "v"], ["r", "u"]):
+        raise ValueError(f"unexpected CSV header {header}")
     if not rows:
         raise ValueError("CSV contains no data rows")
-    data = np.asarray(rows)
-    r = data[:, 0]
-    u = data[:, 1]
-    v = data[:, 2] if ncol == 3 else None
-    return r, u, v
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"bad row fields: {exc}") from exc
+    if data.shape[1] != len(header):
+        raise ValueError(f"rows have {data.shape[1]} fields, not {len(header)}")
+    return data[:, 0], data[:, 1], (data[:, 2] if len(header) == 3 else None)
 
 
 def state_from_csv(path, grid: RadialGrid) -> State:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coupled import (Kind, SolveConfig, _coupled_newton, _settle_on_manifold,
-                      certify, classify, scalar_baselines, solve_coupled)
+from .coupled import (Kind, SolveConfig, _coupled_newton, _judge,
+                      scalar_baselines, solve_coupled)
 from .energy import EnergyParams, projected_energy
 from .errors import InvalidBracket, NoConvergence, NumericalError, ZeroState
 from .grid import RadialGrid, State
@@ -121,8 +121,8 @@ def bisect_beta0(params_base: EnergyParams, bracket: tuple[float, float],
     Full solves at the two ends of `bracket` must disagree on the kind;
     they confirm the transition.  The vector end's state is then continued
     in β: each branch step runs `_coupled_newton` at the trial β from the
-    nearest certified branch state, then `_settle_on_manifold`, `certify`
-    and `classify`.  Steps are certified but not gated on Morse index: the
+    nearest certified branch state, then `coupled._judge` (settle, `certify`,
+    `classify`).  Steps are certified but not gated on Morse index: the
     cubic branch has index 2 below β = 1.  A safeguarded secant on
     m_vec(β) − S through the last two branch states picks each trial β; a
     secant point outside the bracket, or a lack of two states, bisects it.
@@ -159,14 +159,13 @@ def bisect_beta0(params_base: EnergyParams, bracket: tuple[float, float],
         params = at(beta)
         _, seed, _ = min(branch, key=lambda p: abs(p[0] - beta))
         try:
-            state = _settle_on_manifold(_coupled_newton(seed, params), params)
-            rep = certify(state, params)
-            if classify(state) is not Kind.VECTOR:
-                return None
+            gs = _judge(_coupled_newton(seed, params), params, 0)
         except (NumericalError, ZeroState):
             return None
-        gap = rep.I - scalar_min
-        branch.append((beta, state, gap))
+        if gs.kind is not Kind.VECTOR:
+            return None
+        gap = gs.m - scalar_min
+        branch.append((beta, gs.state, gap))
         return gap
 
     last = b_v

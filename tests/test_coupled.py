@@ -12,7 +12,8 @@ import nlsground.coupled as coupled_mod
 import nlsground.energy as energy_mod
 from nlsground.coupled import (GroundState, InitStrategy, Kind, SolveConfig,
                                certify, classify, solve_coupled)
-from nlsground.energy import EnergyParams, energy_report, project_pohozaev
+from nlsground.energy import (EnergyParams, energy_report, project_pohozaev,
+                              projected_energy)
 from nlsground.errors import (CertificationFailure, InfeasibleStart,
                               NegativeBeta, NoConvergence, NoProjection,
                               NumericalError, ZeroState)
@@ -364,14 +365,19 @@ def test_solver_deterministic(grid, cubic_nl, cubic_scalar, coupled_beta2):
 def test_start_that_cannot_win_ends_in_rounds(monkeypatch, cubic_nl):
     # p = 4.6 is under-resolved at h = 0.0125: no start polishes to a state
     # that wins, and each one ends when its handoff repeats, not when the
-    # 20,000-iteration budget runs out; the scalar_u embedding is the answer
+    # 20,000-iteration budget runs out; the scalar_u embedding certifies,
+    # but its action is three times the bound Φ_h of (0, w_g), whose
+    # certificate fails on this grid, so the solve fails and names both
     g = RadialGrid(R=20.0, N=1600)
     params = EnergyParams(cubic_nl, power_sum([(1.0, 4.6)]), 1.0)
     base_u, base_v = coupled_mod.scalar_baselines(params, g)
     rounds = _count_rounds(monkeypatch)
-    gs = solve_coupled(params, g, baselines=(base_u, base_v))
-    assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
-    assert gs.m == pytest.approx(18.897202351262, rel=1e-12)
+    with pytest.raises(NoConvergence) as exc:
+        solve_coupled(params, g, baselines=(base_u, base_v))
+    message = str(exc.value)
+    assert "N=1600" in message
+    assert "scalar_u: m=18.89720235 above the embeddings' bound" in message
+    assert "scalar_v: certificate clause violated" in message
     assert len(rounds) <= 10 and set(rounds) == {coupled_mod.ROUND}
 
 
@@ -432,13 +438,46 @@ _TERMS = st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(1.2, 4.5)),
 @example(f=[(0.9176, 2.0391)], g=[(1.2568, 2.9051), (1.9933, 3.5987)],
          beta=1.9421, N=800)
 def test_coupled_state_is_certified_or_fails_cleanly(f, g, beta, N):
-    # every draw ends in a certified index-1 state or a named numerical
-    # failure
+    # every draw ends in a certified index-1 state within the embeddings'
+    # bound, or in a named numerical failure
     assume(f != g)
     params = EnergyParams(power_sum(f), power_sum(g), beta)
+    grid = RadialGrid(R=20.0, N=N)
     try:
-        gs = solve_coupled(params, RadialGrid(R=20.0, N=N))
+        baselines = coupled_mod.scalar_baselines(params, grid)
+        gs = solve_coupled(params, grid, baselines=baselines)
     except NumericalError:
         return
     certify(gs, params)
     assert energy_mod.morse_index(gs.state, params) == 1
+    bound = _embedding_bound(params, *baselines)
+    assert gs.m <= bound + coupled_mod.TIE_REL * (1.0 + abs(bound))
+
+
+def _embedding_bound(params, base_u, base_v):
+    """The lesser projected action of the embeddings (w_f, 0) and (0, w_g)."""
+    zero = Profile.zero(base_u.profile.grid)
+    return min(projected_energy(State(base_u.profile, zero), params),
+               projected_energy(State(zero, base_v.profile), params))
+
+
+# in each case the lower embedding fails the certificate on its grid, while
+# other runs reach certified index-1 states of more action
+@pytest.mark.parametrize("N, f, g, beta", [
+    (1600, [(1.7451, 1.7097)], [(0.9014, 4.1051)], 1.578),
+    (1600, [(0.8044, 1.3673), (0.8194, 4.221)], [(1.7603, 1.5709)], 1.431),
+    (1600, [(1.9075, 2.9767)], [(1.7174, 3.3715)], 1.139),
+    (4000, [(1.5796, 2.7016)], [(0.5852, 4.4847)], 2.33),
+    (4000, [(1.2742, 3.2742), (1.3043, 2.5055)], [(1.6862, 4.0823)], 2.294),
+])
+def test_answer_never_exceeds_the_embeddings_bound(N, f, g, beta):
+    params = EnergyParams(power_sum(f), power_sum(g), beta)
+    grid = RadialGrid(R=20.0, N=N)
+    baselines = coupled_mod.scalar_baselines(params, grid)
+    try:
+        gs = solve_coupled(params, grid, baselines=baselines)
+    except NumericalError as exc:
+        assert f"N={N}" in str(exc)   # the failure names the grid
+        return
+    bound = _embedding_bound(params, *baselines)
+    assert gs.m <= bound + coupled_mod.TIE_REL * (1.0 + abs(bound))

@@ -230,3 +230,37 @@ def test_read_state_csv_rejects_malformed(tmp_path):
     headeronly.write_text("r,u\n")
     with pytest.raises(ValueError, match="no data"):
         read_state_csv(headeronly)
+    short = tmp_path / "short.csv"
+    short.write_text("r,u,v\n0.0,1.0\n0.1,0.5\n")
+    with pytest.raises(ValueError, match="fields"):
+        read_state_csv(short)
+    comment = tmp_path / "comment.csv"
+    comment.write_text("r,u\n# comment\n0.0,1.0\n")
+    with pytest.raises(ValueError):
+        read_state_csv(comment)
+    # trailing blank lines are not malformed
+    trailing = tmp_path / "trailing.csv"
+    trailing.write_bytes(b"r,u\r\n0.0,1.0\r\n0.5,0\r\n\r\n\n")
+    r, u, v = read_state_csv(trailing)
+    np.testing.assert_array_equal(r, [0.0, 0.5])
+    np.testing.assert_array_equal(u, [1.0, 0.0])
+    assert v is None
+
+
+def test_csv_bytes_are_pinned(tmp_path):
+    # the stored format: a header, 17 significant digits, CRLF row ends
+    grid = RadialGrid(R=20.0, N=64)
+    u = np.zeros(grid.N + 1)
+    u[:4] = [-0.0, 1e-300, 1.2345678901234567e300, 1.0 / 3.0]
+    v = np.roll(u, 2)
+
+    def expected(header, *columns):
+        rows = [header] + [",".join(format(x, ".17g") for x in row)
+                           for row in zip(*columns)]
+        return "".join(row + "\r\n" for row in rows).encode()
+
+    write_state_csv(State(Profile(grid, u), Profile(grid, v)),
+                    tmp_path / "state.csv")
+    write_profile_csv(Profile(grid, u), tmp_path / "u0.csv")
+    assert (tmp_path / "state.csv").read_bytes() == expected("r,u,v", grid.r, u, v)
+    assert (tmp_path / "u0.csv").read_bytes() == expected("r,u", grid.r, u)
