@@ -103,8 +103,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
 
     try:
-        grid = RadialGrid(R=float(pairs.get("grid.R", 20.0)),
-                          N=int(pairs.get("grid.N", 4000)))
+        grid = RadialGrid(R=pairs.get("grid.R", 20.0),
+                          N=pairs.get("grid.N", 4000))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 

@@ -41,6 +41,10 @@ class RadialGrid:
     """
 
     def __init__(self, R: float = 20.0, N: int = 4000):
+        if isinstance(R, bool):
+            raise ValueError(f"R must be a number, got {R!r}")
+        if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
+            raise ValueError(f"N must be an integer, got {N!r}")
         R = float(R)
         N = int(N)
         if not 0.0 < R < math.inf:

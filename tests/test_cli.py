@@ -5,9 +5,13 @@ import io
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nlsground.cli as cli
 import nlsground.coupled as coupled_mod
@@ -297,3 +301,42 @@ output.dir = {tmp_path / 'out'}
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("a=")
     assert (tmp_path / "out" / "u0.csv").exists()
+
+
+_TERMS = st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(1.2, 4.5)),
+                  min_size=1, max_size=2)
+# most draws keep their config valid; the others set one invalid value
+_INVALID = st.sampled_from([None] * 6 + [
+    ("beta", "-1.0"), ("beta", "1e999"), ("grid.N", "400.5"),
+    ("grid.N", "10"), ("f.terms", "[(1.0, 6.0)]"), ("g.terms", "[]")])
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(f=_TERMS, g=_TERMS, beta=st.floats(0.2, 3.0),
+       N=st.sampled_from([400, 800]), invalid=_INVALID)
+@example(f=[(1.4390811863748851, 2.661538484714544)],
+         g=[(1.0, 3.826593723128285)], beta=2.3876456135900965, N=800,
+         invalid=None)
+@example(f=[(1.8605774100131578, 1.2)], g=[(0.5, 1.2)], beta=0.2, N=400,
+         invalid=None)
+def test_coupled_cli_exits_cleanly(f, g, beta, N, invalid):
+    # every drawn run exits with a documented code and no traceback, leaves
+    # no temp file, writes a state only on success, and that state re-checks
+    keys = {"f.family": "power_sum", "f.terms": repr(f),
+            "g.family": "power_sum", "g.terms": repr(g),
+            "beta": repr(beta), "grid.N": str(N)}
+    if invalid is not None:
+        keys[invalid[0]] = invalid[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        conf = write_conf(Path(tmp) / "run.conf", "".join(
+            f"{k} = {v}\n" for k, v in keys.items()) + f"output.dir = {out}\n")
+        code, _, err = run_cli("coupled", conf)
+        assert 0 <= code <= 4 and "Traceback" not in err
+        assert invalid is None or code == 1
+        assert not list(Path(tmp).rglob("*.tmp"))
+        if code != 0:
+            assert not (out / "state.csv").exists()
+            return
+        code, _, err = run_cli("check", conf, str(out / "state.csv"))
+        assert code == 0, err

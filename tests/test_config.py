@@ -84,6 +84,11 @@ def test_distinct_g_family():
     ("f.family = cubic\nshooting.a_max = 30.0\n", "unknown keys"),
     ("f.family = cubic\nshooting.ode_step = 0.001\n", "unknown keys"),
     ("f.family = cubic\ngrid.N = 10\n", "grid"),
+    # grid values are never truncated or coerced from a bool
+    ("f.family = cubic\ngrid.N = 4000.7\n", "grid: N must be an integer"),
+    ("f.family = cubic\ngrid.N = 4000.0\n", "grid: N must be an integer"),
+    ("f.family = cubic\ngrid.N = True\n", "grid: N must be an integer"),
+    ("f.family = cubic\ngrid.R = True\n", "grid: R must be a number"),
     ("f.family cubic\n", "key = value"),
     (" = 3\nf.family = cubic\n", "empty key"),
     ("f.family = @!\n", "cannot parse"),

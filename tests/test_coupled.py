@@ -150,6 +150,20 @@ def _count_rounds(monkeypatch):
     return rounds
 
 
+def _record_starts(monkeypatch):
+    """Record what every descent start returns: (accepted state, reason)."""
+    ends = []
+    real = coupled_mod._run_start
+
+    def recorded(init, params, max_iters):
+        out = real(init, params, max_iters)
+        ends.append(out)
+        return out
+
+    monkeypatch.setattr(coupled_mod, "_run_start", recorded)
+    return ends
+
+
 def test_symmetric_start_ends_on_the_saddle(monkeypatch, grid, cubic_nl,
                                            cubic_scalar):
     # below β = 1 the scalar pair (w, w) cannot leave the symmetric subspace,
@@ -166,15 +180,40 @@ def test_symmetric_start_ends_on_the_saddle(monkeypatch, grid, cubic_nl,
 
 def test_repeated_saddle_ends_a_moving_start(monkeypatch, grid, cubic_nl,
                                              cubic_scalar):
-    # the random starts at β = 0.99 also polish to the symmetric saddle; their
-    # descent is still moving, so only the repeated action ends them, after
-    # two full rounds each
+    # two asymmetric Gaussian starts at β = 0.99 also polish to the symmetric
+    # saddle; their descent is still moving, so only the repeated action
+    # ends them, after two full rounds each
     params = EnergyParams(cubic_nl, cubic_nl, 0.99)
+
+    def gauss(a, s):
+        return Profile.from_callable(grid,
+                                     lambda r: a * np.exp(-r ** 2 / (2 * s * s)))
+
+    def gaussian_inits(params, grid, cfg, base_u, base_v):
+        return [("gauss_0", State(gauss(3.09, 0.945), gauss(2.17, 0.918))),
+                ("gauss_1", State(gauss(3.53, 1.57), gauss(3.78, 1.70)))]
+
+    monkeypatch.setattr(coupled_mod, "_initial_states", gaussian_inits)
     rounds = _count_rounds(monkeypatch)
-    gs = solve_coupled(params, grid,
-                       SolveConfig(init_strategy="random_gaussians"),
-                       baselines=(cubic_scalar, cubic_scalar))
+    ends = _record_starts(monkeypatch)
+    gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
     assert rounds == [coupled_mod.ROUND, coupled_mod.ROUND] * 2
+    assert ends == [(None, "Morse index 2 after 100 iterations")] * 2
+    assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
+
+
+def test_armijo_failure_ends_a_start(monkeypatch, grid, cubic_nl,
+                                     cubic_scalar):
+    # with no trial step able to pass, each round stops after its first
+    # iteration, and that round's handoff (the saddle, rejected) is the
+    # start's last; the scalar_u embedding wins
+    params = EnergyParams(cubic_nl, cubic_nl, 0.99)
+    monkeypatch.setattr(coupled_mod, "ARMIJO", math.inf)
+    rounds = _count_rounds(monkeypatch)
+    ends = _record_starts(monkeypatch)
+    gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
+    assert rounds == [1, 1]
+    assert ends == [(None, "Morse index 2 after 1 iterations")] * 2
     assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
 
 
@@ -342,7 +381,7 @@ def test_descend_rejects_infeasible_state(grid, cubic_nl):
                              SolveConfig().max_iters)
 
 
-@pytest.mark.parametrize("strategy", ["scalar_pair", "random_gaussians"])
+@pytest.mark.parametrize("strategy", ["scalar_pair", "perturbed_scalar"])
 def test_init_strategies_reach_same_ground_state(strategy, grid, cubic_nl,
                                                  cubic_scalar, coupled_beta2):
     params, reference = coupled_beta2
@@ -414,17 +453,16 @@ def test_coarse_grid_cannot_certify(monkeypatch, cubic_nl):
     # on a deliberately coarse mesh the discrete Pohozaev defect of the
     # converged states exceeds the certificate budget, and the solver
     # reports that honestly instead of returning an uncertified state; each
-    # of the four starts polishes twice to that one state and stops there
+    # of the two starts polishes twice to that one state and stops there
     g = RadialGrid(R=20.0, N=640)
     base = solve_scalar(cubic_nl, g)
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     rounds = _count_rounds(monkeypatch)
     with pytest.raises(NoConvergence) as exc:
         solve_coupled(params, g, baselines=(base, base))
-    assert rounds == [coupled_mod.ROUND] * 8
+    assert rounds == [coupled_mod.ROUND] * 4
     # the one failure names every run with its reason
-    for name in ("scalar_u", "scalar_v", "scalar_pair", "perturbed_scalar",
-                 "random_0", "random_1"):
+    for name in ("scalar_u", "scalar_v", "scalar_pair", "perturbed_scalar"):
         assert f"{name}: certificate clause violated" in str(exc.value)
 
 
@@ -452,6 +490,33 @@ def test_coupled_state_is_certified_or_fails_cleanly(f, g, beta, N):
     assert energy_mod.morse_index(gs.state, params) == 1
     bound = _embedding_bound(params, *baselines)
     assert gs.m <= bound + coupled_mod.TIE_REL * (1.0 + abs(bound))
+
+
+# draws of the property test above that return a state, pinned here: the
+# starts must keep reaching each answer, and hypothesis seeds its draws with
+# number literals from the source, so the test's own draws shift with edits
+@pytest.mark.parametrize("N, f, g, beta, kind, m", [
+    (400, [(1.8605774100131578, 1.2)], [(0.5, 1.2)], 0.2,
+     Kind.SCALAR_U, 0.31146979588656487),
+    (400, [(1.4390811863748851, 1.2)], [(0.5, 1.2)], 0.2,
+     Kind.SCALAR_U, 4.06481158878757),
+    (800, [(1.4390811863748851, 2.661538484714544)], [(1.0, 3.826593723128285)],
+     2.3876456135900965, Kind.VECTOR, 10.256058133046448),
+    (400, [(1.1108377789831216, 2.5897802047907126),
+           (0.8412144659914103, 1.4328378029018312)],
+     [(1.4328378029018312, 1.2)], 0.2, Kind.SCALAR_V, 4.245443490812157),
+    (400, [(1.4328378029018312, 2.5897802047907126),
+           (0.8412144659914103, 1.4328378029018312)],
+     [(1.4328378029018312, 1.2)], 0.2, Kind.SCALAR_V, 4.24544349081215),
+    (400, [(0.6021710535936445, 2.004699634865476), (1.5, 1.2549705284347261)],
+     [(0.5406704614203819, 2.9503117082776136)], 0.23408928754432684,
+     Kind.SCALAR_U, 2.1409067798463504),
+])
+def test_property_draws_keep_their_answers(N, f, g, beta, kind, m):
+    params = EnergyParams(power_sum(f), power_sum(g), beta)
+    gs = solve_coupled(params, RadialGrid(R=20.0, N=N))
+    assert gs.kind is kind
+    assert gs.m == pytest.approx(m, rel=1e-9)
 
 
 def _embedding_bound(params, base_u, base_v):

@@ -24,6 +24,13 @@ def test_grid_construction_and_validation():
         RadialGrid(R=-1.0, N=200)
     with pytest.raises(ValueError):
         RadialGrid(R=10.0, N=10)
+    # N is never truncated, and neither N nor R is taken from a bool
+    for N in (400.9, 400.0, True):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            RadialGrid(R=10.0, N=N)
+    with pytest.raises(ValueError, match="R must be a number"):
+        RadialGrid(R=True, N=200)
+    assert RadialGrid(R=10, N=np.int64(200)).N == 200
 
 
 @pytest.mark.parametrize("R", [math.nan, math.inf])
