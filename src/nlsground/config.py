@@ -76,9 +76,9 @@ def _build_nonlinearity(pairs: dict[str, object], prefix: str) -> Nonlinearity |
         raise ConfigError(f"{prefix}.family is required when {prefix}.* is set")
     try:
         if family == "power_sum":
-            terms = sub.get("terms", [])
-            if not isinstance(terms, (list, tuple)):
-                raise ConfigError(f"{prefix}.terms must be a list of (a, p) pairs")
+            terms = sub.get("terms")    # none: f = 0, with no ground state
+            if not isinstance(terms, (list, tuple)) or not terms:
+                raise ConfigError(f"{prefix}.terms must list at least one (a, p) pair")
             return power_sum([tuple(t) for t in terms])
         if family == "cubic":
             if "terms" in sub or "amplitude" in sub:
@@ -87,8 +87,8 @@ def _build_nonlinearity(pairs: dict[str, object], prefix: str) -> Nonlinearity |
         if family == "log_enhanced":
             if "terms" in sub:
                 raise ConfigError(f"{prefix}: log_enhanced takes no terms")
-            return log_enhanced(float(sub.get("amplitude", 1.0)))
-    except (TypeError, ValueError) as exc:
+            return log_enhanced(sub.get("amplitude", 1.0))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{prefix}: {exc}") from exc
     raise ConfigError(f"{prefix}.family: unknown family {family!r}")
 
@@ -105,7 +105,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         grid = RadialGrid(R=pairs.get("grid.R", 20.0),
                           N=pairs.get("grid.N", 4000))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
     f = _build_nonlinearity(pairs, "f")

@@ -52,12 +52,12 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .energy import (EnergyParams, EnergyReport, _laplacian_band, _phi_value,
-                     _terms, _variation, energy_I, energy_report, morse_index,
-                     newton, project_pohozaev, projected_energy)
+from .energy import (EnergyParams, EnergyReport, _cone_terms, _laplacian_band,
+                     _phi_value, _terms, _variation, energy_I, energy_report,
+                     morse_index, newton, project_pohozaev, projected_energy)
 from .energy import residuals  # noqa: F401  bound for perfbench tracer.PLAN
-from .errors import (CertificationFailure, InfeasibleStart, NegativeBeta,
-                     NoConvergence, NoProjection, NumericalError, ZeroState)
+from .errors import (CertificationFailure, NegativeBeta, NoConvergence,
+                     NoProjection, NumericalError, ZeroState)
 from .grid import Profile, RadialGrid, State, integrate, kinetic
 from .nonlinearity import eval_df, eval_f  # noqa: F401  bound for perfbench tracer.PLAN
 from .scalar import ScalarGroundState, solve_scalar
@@ -138,6 +138,8 @@ def certify(gs: GroundState | State, params: EnergyParams) -> EnergyReport:
     """
     state = gs.state if isinstance(gs, GroundState) else gs
     rep = energy_report(state, params)
+    if rep.K == 0.0:    # the trivial solution meets every clause below
+        raise CertificationFailure("nontrivial", "K=0: the zero state")
     scale = CERT_TOL * (1.0 + rep.K)
     if not abs(rep.J) <= scale:
         raise CertificationFailure("pohozaev", f"|J|={abs(rep.J):.3e} > {scale:.3e}")
@@ -152,11 +154,6 @@ def certify(gs: GroundState | State, params: EnergyParams) -> EnergyReport:
 
 # ----------------------------------------------------------------------
 # reduced objective: value and weighted gradient, on raw node arrays
-
-def _phi_terms(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
-    K, M, P = _terms(grid, u, v, params)
-    return K, P - 0.5 * M
-
 
 def _phi_gradient(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams,
                   K: float, W: float):
@@ -202,19 +199,17 @@ def _precondition(factors, gu: np.ndarray, gv: np.ndarray):
 def _descend(state: State, params: EnergyParams, max_iters: int):
     """One round of Armijo descent on Φ; returns (state, iterations, grad).
 
-    Runs on raw node arrays and never leaves the cone 0 < K, W < ∞.  Stops
-    after `max_iters` iterations, or sooner when no backtracked step gives
-    sufficient decrease; `grad` is the weighted ‖G‖ last evaluated.
+    Runs on raw node arrays from a start on the cone (else `_cone_terms`
+    raises) and never leaves it.  Stops after `max_iters` iterations, or
+    when no backtracked step decreases enough; `grad` is the last weighted ‖G‖.
     """
     gr = state.grid
     u = state.u.values.copy()
     v = state.v.values.copy()
     u[0] = u[1]
     v[0] = v[1]
-    K, W = _phi_terms(gr, u, v, params)
+    K, W = _cone_terms(gr, u, v, params)
     phi = _phi_value(K, W)
-    if phi == math.inf:
-        raise InfeasibleStart("initial state lies off the cone 0 < K, W < inf")
     factors = _factor_preconditioner(gr)
     it = 0
     gnorm = math.inf
@@ -232,7 +227,7 @@ def _descend(state: State, params: EnergyParams, max_iters: int):
         for _ in range(60):
             tu = u - s * du
             tv = v - s * dv
-            Kt, Wt = _phi_terms(gr, tu, tv, params)
+            Kt, Wt = _terms(gr, tu, tv, params)
             pt = _phi_value(Kt, Wt)
             if pt <= phi - ARMIJO * s * slope:
                 u, v, K, W, phi = tu, tv, Kt, Wt, pt
@@ -278,12 +273,10 @@ def _settle_on_manifold(state: State, params: EnergyParams) -> State:
     nothing that matters.  On coarse grids the defect exceeds the budget
     and the trade goes the other way.
     """
-    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
-    J = 0.5 * K - 3.0 * (P - 0.5 * M)
-    if abs(J) <= 0.5 * CERT_TOL * (1.0 + K):
+    K, W = _terms(state.grid, state.u.values, state.v.values, params)
+    if abs(0.5 * K - 3.0 * W) <= 0.5 * CERT_TOL * (1.0 + K):
         return state
-    settled, _ = project_pohozaev(state, params)
-    return settled
+    return project_pohozaev(state, params)[0]
 
 
 def _judge(state: State, params: EnergyParams, iterations: int) -> GroundState:
@@ -303,7 +296,7 @@ def _candidate(state: State, params: EnergyParams, iterations: int):
     """
     try:
         gs = _judge(state, params, iterations)
-    except (NoProjection, ZeroState, CertificationFailure) as exc:
+    except (NoProjection, CertificationFailure) as exc:
         return None, str(exc)
     # on the manifold the dilation direction is negative: a saddle has ≥ 2
     index = morse_index(gs.state, params)

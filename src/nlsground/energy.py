@@ -4,11 +4,12 @@ For a state (u, v) with coupling strength beta the action is
 
     I = 1/2 ||u||^2 - int F(u) + 1/2 ||v||^2 - int G(v) - (beta/2) int u^2 v^2
 
-with ||.|| the H^1 norm.  Writing K for the total Dirichlet energy, M for
-the total mass int (u^2 + v^2) and P for the potential term
-int [F(u) + G(v) + (beta/2) u^2 v^2], the action is I = K/2 + M/2 - P and
-the Pohozaev functional is J = K/2 - 3W with the well depth W = P - M/2.
-States with J = 0 form the constraint manifold; on it I = K/3.  The ray
+with ||.|| the H^1 norm.  I, the Pohozaev functional J and the projected
+action Phi read a state only through the two integrals `_terms` returns,
+the Dirichlet energy K and the well depth W = P - M/2 (M the mass
+int (u^2 + v^2), P the potential int [F(u) + G(v) + (beta/2) u^2 v^2]):
+I = K/2 - W, J = K/2 - 3W and Phi = (K/3)^{3/2} (2W)^{-1/2}.  States with
+J = 0 form the constraint manifold; on it I = K/3.  The ray
 t -> (u(./t), v(./t)) has action (t/2)K - t^3 W, so whenever W > 0 it
 crosses the manifold exactly once, at t = sqrt(K/(6W)); projecting along
 dilations is therefore closed-form.
@@ -70,24 +71,24 @@ class EnergyReport:
 
 
 def _terms(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
-    """Raw integrals (K, M, P) of node arrays: Dirichlet energy, mass, potential."""
+    """(K, W) of node arrays: Dirichlet energy and well depth P − M/2."""
     du = u[1:] - u[:-1]
     dv = v[1:] - v[:-1]
     K = float(grid.flux @ (du * du)) + float(grid.flux @ (dv * dv))
     M = integrate(grid, u * u + v * v)
     P = integrate(grid, eval_F(params.f, u) + eval_F(params.g, v)
                   + 0.5 * params.beta * (u * u) * (v * v))
-    return K, M, P
+    return K, P - 0.5 * M
 
 
 def energy_I(state: State, params: EnergyParams) -> float:
-    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
-    return 0.5 * K + 0.5 * M - P
+    K, W = _terms(state.grid, state.u.values, state.v.values, params)
+    return 0.5 * K - W
 
 
 def pohozaev_J(state: State, params: EnergyParams) -> float:
-    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
-    return 0.5 * K - 3.0 * (P - 0.5 * M)
+    K, W = _terms(state.grid, state.u.values, state.v.values, params)
+    return 0.5 * K - 3.0 * W
 
 
 def _variation(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams,
@@ -259,38 +260,36 @@ def project_pohozaev(state: State, params: EnergyParams) -> tuple[State, float]:
     the exact identity, the residual contracts by O(h²) per pass and two
     or three passes reach roundoff.  A state already on the manifold is
     returned unchanged with t̄ = 1.  Raises ZeroState for the origin and
-    NoProjection off the cone 0 < K, W < ∞ (W ≤ 0: the dilation ray never
-    meets the manifold; W = ∞ or NaN: the terms overflow), before any
-    pass: interpolating a core narrower than h can lose W > 0.
+    NoProjection off the cone of `_phi_value`, before any pass:
+    interpolating a core narrower than h can lose W > 0.
     """
-    K, W = _cone_terms(state, params)
+    K, W = _cone_terms(state.grid, state.u.values, state.v.values, params)
     tbar = 1.0
     for _ in range(12):
         t = math.sqrt(K / (6.0 * W))
         if t != 1.0:
             state = State(dilate(state.u, t), dilate(state.v, t))
             tbar *= t
-        K, W = _cone_terms(state, params)
+        K, W = _cone_terms(state.grid, state.u.values, state.v.values, params)
         if abs(0.5 * K - 3.0 * W) <= 1e-12 * (1.0 + K):
             break
     return state, tbar
 
 
 def _phi_value(K: float, W: float) -> float:
-    """Φ on the cone 0 < K, W < ∞ and +∞ off it (W = ∞ would read Φ = 0)."""
-    if not (0.0 < K < math.inf and 0.0 < W < math.inf):
+    """Φ on the cone 0 < W < ∞, 0 < t̄² = K/(6W) < ∞ (so 0 < K < ∞), else +∞."""
+    if not (0.0 < W < math.inf and 0.0 < K / (6.0 * W) < math.inf):
         return math.inf
     return (K / 3.0) ** 1.5 / math.sqrt(2.0 * W)
 
 
-def _cone_terms(state: State, params: EnergyParams) -> tuple[float, float]:
-    """(K, W) of a state on the cone, where `_phi_value` is finite."""
-    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
-    if K == 0.0 and M == 0.0:
+def _cone_terms(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
+    """(K, W) of node arrays on the cone, where `_phi_value` is finite."""
+    K, W = _terms(grid, u, v, params)
+    if K == 0.0:    # the Dirichlet node and positive fluxes: only u = v = 0
         raise ZeroState("cannot project the zero state")
-    W = P - 0.5 * M
-    if _phi_value(K, W) == math.inf:
-        raise NoProjection(f"K={K:.6g}, W={W:.6g}: off the cone 0 < K, W < inf")
+    if _phi_value(K, W) == math.inf:    # W = ∞ reads Φ = 0; t̄ = 0, ∞ cannot dilate
+        raise NoProjection(f"K={K:.6g}, W={W:.6g}: off the cone 0 < W, t̄ < inf")
     return K, W
 
 
@@ -300,13 +299,14 @@ def projected_energy(state: State, params: EnergyParams) -> float:
     Dilation-invariant in exact arithmetic, since K scales like t and W
     like t³ along the ray.  Raises as `project_pohozaev` does.
     """
-    return _phi_value(*_cone_terms(state, params))
+    return _phi_value(*_cone_terms(state.grid, state.u.values,
+                                   state.v.values, params))
 
 
 def energy_report(state: State, params: EnergyParams) -> EnergyReport:
-    K, M, P = _terms(state.grid, state.u.values, state.v.values, params)
+    gr, u, v = state.grid, state.u.values, state.v.values
+    K, W = _terms(gr, u, v, params)
     ru, rv = residuals(state, params)
-    return EnergyReport(I=0.5 * K + 0.5 * M - P,
-                        J=0.5 * K - 3.0 * (P - 0.5 * M),
-                        K=K, W=P - 0.5 * M, normH1_sq=K + M,
+    return EnergyReport(I=0.5 * K - W, J=0.5 * K - 3.0 * W, K=K, W=W,
+                        normH1_sq=K + integrate(gr, u * u + v * v),
                         residual_u=ru, residual_v=rv)

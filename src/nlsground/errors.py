@@ -64,10 +64,6 @@ class NoProjection(NumericalError):
     """Off the cone 0 < K, W < inf: W <= 0 misses J = 0, W = inf overflows."""
 
 
-class InfeasibleStart(NumericalError):
-    """One start lies off the cone W > 0; recorded as that start's reason."""
-
-
 class CertificationFailure(NumericalError):
     """A-posteriori certificate violated; carries the failed clause."""
 

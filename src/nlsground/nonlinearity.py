@@ -18,6 +18,8 @@ this distinction.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,13 @@ AR_MARGIN = 0.05
 AR_HORIZON = 1.0e9
 
 _EPS_GRID = (0.1, 0.01, 0.001)
+
+
+def _finite_real(x, what: str) -> float:
+    """`x` as a float, or ValueError; an int past the float range overflows."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite real number, got {x!r}")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -59,18 +68,19 @@ class Nonlinearity:
     def __post_init__(self):
         if self.family not in (POWER_SUM, LOG_ENHANCED):
             raise ValueError(f"unknown nonlinearity family: {self.family!r}")
+        terms = tuple((_finite_real(a, "coefficient"),
+                       _finite_real(p, "exponent")) for a, p in self.terms)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "amplitude", _finite_real(self.amplitude, "amplitude"))
         if self.family == POWER_SUM:
-            terms = tuple((float(a), float(p)) for a, p in self.terms)
-            object.__setattr__(self, "terms", terms)
             for a, p in terms:
                 if not (1.0 < p < 5.0):
                     raise InvalidExponent(
                         f"exponent {p} outside the admissible range (1, 5)")
                 if not a > 0.0:
                     raise ValueError(f"coefficient {a} must be positive")
-        else:
-            if not self.amplitude > 0.0:
-                raise ValueError("log_enhanced amplitude must be positive")
+        elif not self.amplitude > 0.0:
+            raise ValueError("log_enhanced amplitude must be positive")
 
 
 def power_sum(terms) -> Nonlinearity:
@@ -80,7 +90,7 @@ def power_sum(terms) -> Nonlinearity:
 
 def log_enhanced(amplitude: float = 1.0) -> Nonlinearity:
     """Build the log-enhanced nonlinearity F(t) = a t^2 ln(1+t^2)/2."""
-    return Nonlinearity(LOG_ENHANCED, amplitude=float(amplitude))
+    return Nonlinearity(LOG_ENHANCED, amplitude=amplitude)
 
 
 def cubic() -> Nonlinearity:

@@ -207,8 +207,8 @@ def _start(grid: RadialGrid, params: EnergyParams) -> np.ndarray:
     bump = np.exp(-0.5 * grid.r ** 2)
     bump[-1] = 0.0
     zero = np.zeros(grid.N + 1)
-    phi, amp = min((coupled._phi_value(*coupled._phi_terms(grid, a * bump, zero,
-                                                           params)), a)
+    phi, amp = min((coupled._phi_value(*coupled._terms(grid, a * bump, zero,
+                                                       params)), a)
                    for a in LADDER)
     if phi == math.inf:
         raise BracketFailure(f"no amplitude in [{LADDER[0]:g}, {LADDER[-1]:g}] "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .coupled import (Kind, SolveConfig, _coupled_newton, _judge,
                       scalar_baselines, solve_coupled)
 from .energy import EnergyParams, projected_energy
-from .errors import InvalidBracket, NoConvergence, NumericalError, ZeroState
+from .errors import InvalidBracket, NoConvergence, NumericalError
 from .grid import RadialGrid, State
 from .scalar import ScalarGroundState
 from .scalar import solve_scalar  # noqa: F401  bound for perfbench tracer.PLAN
@@ -160,7 +160,7 @@ def bisect_beta0(params_base: EnergyParams, bracket: tuple[float, float],
         _, seed, _ = min(branch, key=lambda p: abs(p[0] - beta))
         try:
             gs = _judge(_coupled_newton(seed, params), params, 0)
-        except (NumericalError, ZeroState):
+        except NumericalError:
             return None
         if gs.kind is not Kind.VECTOR:
             return None

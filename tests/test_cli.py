@@ -17,7 +17,8 @@ import nlsground.cli as cli
 import nlsground.coupled as coupled_mod
 from nlsground.cli import main
 from nlsground.errors import CertificationFailure
-from nlsground.grid import RadialGrid, state_from_csv
+from nlsground.grid import (Profile, RadialGrid, State, state_from_csv,
+                            write_state_csv)
 
 
 def run_cli(*args: str) -> tuple[int, str, str]:
@@ -241,6 +242,18 @@ def test_check_goes_through_certify(monkeypatch, coupled_run):
     assert "certification failed" in err
 
 
+def test_check_rejects_the_zero_state(tmp_path):
+    # u = v = 0 meets the Pohozaev, energy and residual clauses exactly
+    conf = write_conf(tmp_path / "c.conf",
+                      "f.family = cubic\nbeta = 2.0\ngrid.N = 800\n")
+    zero = Profile.zero(RadialGrid(R=20.0, N=800))
+    write_state_csv(State(zero, zero), tmp_path / "zero.csv")
+    code, out, err = run_cli("check", conf, str(tmp_path / "zero.csv"))
+    assert code == 3
+    assert re.search(r"^K=0$", out, re.M)
+    assert "certification failed" in err and "nontrivial" in err
+
+
 def test_check_scalar_profile(tmp_path):
     conf = write_conf(tmp_path / "s.conf", f"""
 f.family = cubic
@@ -303,12 +316,35 @@ output.dir = {tmp_path / 'out'}
     assert (tmp_path / "out" / "u0.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["scalar", "coupled"])
+def test_huge_coefficient_exits_2(command, tmp_path):
+    # a = 1e300 keeps W finite, but 6W overflows and t̄ = sqrt(K/(6W)) reads
+    # 0: off the cone.  A subprocess, since tier-1 makes numpy's overflow
+    # warning an error in-process.
+    out = tmp_path / "out"
+    conf = write_conf(tmp_path / "huge.conf", f"""
+f.family = power_sum
+f.terms = [(1e300, 3.0)]
+beta = 1.0
+grid.N = 400
+output.dir = {out}
+""")
+    proc = subprocess.run([sys.executable, "-m", "nlsground", command, conf],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "off the cone" in proc.stderr and "Traceback" not in proc.stderr
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert not (out / "state.csv").exists() and not (out / "u0.csv").exists()
+
+
 _TERMS = st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(1.2, 4.5)),
                   min_size=1, max_size=2)
 # most draws keep their config valid; the others set one invalid value
 _INVALID = st.sampled_from([None] * 6 + [
     ("beta", "-1.0"), ("beta", "1e999"), ("grid.N", "400.5"),
-    ("grid.N", "10"), ("f.terms", "[(1.0, 6.0)]"), ("g.terms", "[]")])
+    ("grid.N", "10"), ("f.terms", "[(1.0, 6.0)]"), ("g.terms", "[]"),
+    ("f.terms", "[(True, 3.0)]"), ("f.terms", "[(1e999, 3.0)]"),
+    ("g.terms", '[("1.0", 3.0)]')])
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
@@ -319,6 +355,8 @@ _INVALID = st.sampled_from([None] * 6 + [
          invalid=None)
 @example(f=[(1.8605774100131578, 1.2)], g=[(0.5, 1.2)], beta=0.2, N=400,
          invalid=None)
+@example(f=[(1.5, 3.0)], g=[(1.0, 3.0)], beta=2.0, N=400,
+         invalid=("g.terms", '[("1.0", 3.0)]'))
 def test_coupled_cli_exits_cleanly(f, g, beta, N, invalid):
     # every drawn run exits with a documented code and no traceback, leaves
     # no temp file, writes a state only on success, and that state re-checks

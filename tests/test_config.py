@@ -60,6 +60,8 @@ def test_distinct_g_family():
     ("f.family = cubic\nf.terms = [(1.0, 3.0)]\n", "no extra keys"),
     ("f.family = log_enhanced\nf.terms = [(1.0, 3.0)]\n", "no terms"),
     ("f.family = power_sum\nf.terms = 3\n", "list"),
+    ("f.family = power_sum\nf.terms = []\n", "at least one \\(a, p\\) pair"),
+    ("f.family = power_sum\n", "at least one \\(a, p\\) pair"),
     ("f.family = power_sum\nf.terms = [(1.0, 6.0)]\n", "exponent"),
     ("f.family = cubic\nbeta = 0\n", "positive"),
     ("f.family = cubic\nbeta = -2\n", "positive"),
@@ -89,6 +91,27 @@ def test_distinct_g_family():
     ("f.family = cubic\ngrid.N = 4000.0\n", "grid: N must be an integer"),
     ("f.family = cubic\ngrid.N = True\n", "grid: N must be an integer"),
     ("f.family = cubic\ngrid.R = True\n", "grid: R must be a number"),
+    # nonlinearity numbers are finite reals, never coerced from a bool or a
+    # string
+    ("f.family = log_enhanced\nf.amplitude = True\n",
+     "^f: amplitude must be a finite real"),
+    ('f.family = log_enhanced\nf.amplitude = "2"\n',
+     "^f: amplitude must be a finite real"),
+    ("f.family = log_enhanced\nf.amplitude = 1e999\n",
+     "^f: amplitude must be a finite real"),
+    ("f.family = power_sum\nf.terms = [(True, 3.0)]\n",
+     "^f: coefficient must be a finite real"),
+    ("f.family = power_sum\nf.terms = [(1e999, 3.0)]\n",
+     "^f: coefficient must be a finite real"),
+    ("f.family = power_sum\nf.terms = [(1.0, True)]\n",
+     "^f: exponent must be a finite real"),
+    ('f.family = cubic\ng.family = power_sum\ng.terms = [("1.0", 3.0)]\n',
+     "^g: coefficient must be a finite real"),
+    # an int past the float range is a config error, not a traceback
+    pytest.param(f"f.family = power_sum\nf.terms = [(1{'0' * 400}, 3.0)]\n",
+                 "^f: int too large", id="f.terms-int-past-float"),
+    pytest.param(f"f.family = cubic\ngrid.R = 1{'0' * 400}\n",
+                 "^grid: int too large", id="grid.R-int-past-float"),
     ("f.family cubic\n", "key = value"),
     (" = 3\nf.family = cubic\n", "empty key"),
     ("f.family = @!\n", "cannot parse"),

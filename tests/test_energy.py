@@ -124,6 +124,23 @@ def test_overflowing_terms_lie_off_the_cone(shape):
             project_pohozaev(st, params)
 
 
+def test_unusable_dilation_lies_off_the_cone():
+    # W is finite (1.3e308), but 6W overflows, so t̄ = sqrt(K/(6W)) reads 0:
+    # no dilation reaches the manifold, and Φ would read 0
+    g = RadialGrid(R=20.0, N=400)
+    nl = power_sum([(1e300, 3.0)])
+    params = EnergyParams(nl, nl, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = Profile.from_callable(g, lambda r: 128.0 * np.exp(-r ** 2 / 2.0))
+        st = State(u, Profile.zero(g))
+        _, W = energy_mod._terms(g, st.u.values, st.v.values, params)
+        assert 0.0 < W < math.inf
+        with pytest.raises(NoProjection, match="off the cone"):
+            projected_energy(st, params)
+        with pytest.raises(NoProjection, match="off the cone"):
+            project_pohozaev(st, params)
+
+
 def test_projection_that_loses_the_cone_raises_no_projection():
     # 50 descent iterations from 2·e^{−r²/2} leave a spike with u(0) ≈ 62
     # and W ≈ 9e7 at h = 0.05; its first dilation shrinks the core below h,

@@ -94,6 +94,27 @@ def test_validation_errors():
         log_enhanced(-2.0)
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "2", "1.0", None,
+                                 math.inf, math.nan, 1e999])
+def test_numbers_must_be_finite_reals(bad):
+    with pytest.raises(ValueError, match="must be a finite real number"):
+        power_sum([(bad, 3.0)])
+    with pytest.raises(ValueError, match="must be a finite real number"):
+        power_sum([(1.0, bad)])
+    with pytest.raises(ValueError, match="must be a finite real number"):
+        log_enhanced(bad)
+
+
+def test_ints_and_numpy_floats_are_numbers():
+    nl = power_sum([(np.float64(2.0), 3), (np.int64(1), np.float32(2.5))])
+    assert nl.terms == ((2.0, 3.0), (1.0, 2.5))
+    assert all(type(x) is float for term in nl.terms for x in term)
+    assert log_enhanced(2).amplitude == 2.0
+    assert type(log_enhanced(np.float32(2.0)).amplitude) is float
+    with pytest.raises(OverflowError):      # past the float range
+        power_sum([(10 ** 400, 3.0)])
+
+
 def test_scalar_and_array_evaluation_agree():
     nl = log_enhanced(1.3)
     assert isinstance(eval_f(nl, 1.5), float)
