@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import RunConfig, load_config
 from .coupled import certify, solve_coupled
-from .energy import EnergyParams, energy_report
+from .energy import EnergyParams, energy_report, morse_index
 from .errors import CertificationFailure, ConfigError, NumericalError
 from .grid import (Profile, State, state_from_csv, write_profile_csv,
                    write_state_csv)
@@ -123,6 +123,10 @@ def cmd_check(cfg: RunConfig, state_csv: str) -> int:
     params = EnergyParams(cfg.f, cfg.g, beta)
     print(energy_report(state, params).lines())
     certify(state, params)
+    index = morse_index(state, params)   # a ground state has index 1
+    print(f"morse_index={index}")
+    if index != 1:
+        raise CertificationFailure("morse_index", f"index {index}, want 1")
     return _EXIT_OK
 
 
@@ -137,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         ("scalar", "solve the single-component equation"),
         ("coupled", "solve the coupled system at one beta"),
         ("sweep", "solve across beta_list and report the kind transition"),
-        ("check", "re-certify a stored state CSV"),
+        ("check", "certify a stored state CSV and require Morse index 1"),
     ]:
         p = sub.add_parser(name, help=doc)
         p.add_argument("config", help="path to a key = value config file")

@@ -5,19 +5,18 @@ action at the unique Pohozaev point of the dilation ray through (u,v); it
 is dilation-invariant, finite exactly on the cone W > 0, and its minimum
 over that cone equals the constrained minimum over the manifold.  The
 solver therefore runs an unconstrained preconditioned descent on Φ
-(rejecting trial steps that leave the cone) from two starts built from
-the scalar ground states, the pair (w_f, w_g) and the perturbed pair
-(1.2 w_f, 0.6 w_g), but only to find the basin: it runs in rounds of 50
-iterations, and after each round the iterate is projected onto the
-manifold by the closed-form dilation, polished to the
-exact discrete critical point with the damped Newton iteration on the
+(rejecting trial steps that leave the cone) from one start, the pair
+(w_f, w_g) of scalar ground states, but only to find the basin: it runs
+in rounds of 50 iterations, and after each round the iterate is projected
+onto the manifold by the closed-form dilation, polished to the exact
+discrete critical point with the damped Newton iteration on the
 full coupled system (`nlsground.energy.newton`), and projected once more
 — the last projection moves the state by O(J) and restores J = 0 to
 roundoff while the Newton step has already made the PDE residual tiny.
 A minimizer on the manifold has Morse index 1 in the radial space, so
 `_candidate`, the one accept gate, takes a state that `certify`, the one
 a-posteriori certificate, accepts and whose `nlsground.energy.morse_index`
-is 1.  A start ends on the first handoff it takes; otherwise the next
+is 1.  The start ends on the first handoff it takes; otherwise the next
 round descends from the projected iterate, the start's one state: Φ is
 flat along dilations, and without the projection the iterate drifts off
 the grid's scale along them.  A start whose handoffs polish twice in a
@@ -26,7 +25,9 @@ certify) ends there with no candidate, as does one whose round ends in
 Armijo failure or whose `max_iters` runs out.  The two scalar embeddings
 pass the same gate, a start that raises drops only itself, and the
 lesser projected action Φ_h of the embeddings bounds the answer: a state
-above it is rejected.  The CLI judges states with `certify` too.
+above it is rejected.  Below the coupling threshold an embedding wins;
+above it, the state the descent reaches from (w_f, w_g).  The CLI judges
+states with `certify` and `morse_index` too.
 `nlsground.scalar.solve_scalar` is one round of this on (w, 0).
 
 The weighted gradient of Φ is
@@ -79,16 +80,9 @@ class Kind(enum.Enum):
     VECTOR = "vector"
 
 
-class InitStrategy(enum.Enum):
-    SCALAR_PAIR = "scalar_pair"
-    PERTURBED_SCALAR = "perturbed_scalar"
-    ALL = "all"
-
-
 @dataclass(frozen=True)
 class SolveConfig:
     max_iters: int = 20000
-    init_strategy: InitStrategy | str = InitStrategy.ALL
     seed: int = 0      # validated, but no start is random: it has no effect
 
     def __post_init__(self):
@@ -98,9 +92,6 @@ class SolveConfig:
                 raise ValueError(f"{name} must be an integer")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
-        if isinstance(self.init_strategy, str):
-            object.__setattr__(self, "init_strategy",
-                               InitStrategy(self.init_strategy))
 
 
 @dataclass(frozen=True)
@@ -138,8 +129,12 @@ def certify(gs: GroundState | State, params: EnergyParams) -> EnergyReport:
     """
     state = gs.state if isinstance(gs, GroundState) else gs
     rep = energy_report(state, params)
-    if rep.K == 0.0:    # the trivial solution meets every clause below
-        raise CertificationFailure("nontrivial", "K=0: the zero state")
+    # the trivial solution meets every clause below, and so does a state
+    # that is zero on every node of positive weight (M = 0, but K > 0)
+    M = integrate(state.grid, state.u.values ** 2 + state.v.values ** 2)
+    if rep.K == 0.0 or M == 0.0:
+        raise CertificationFailure("nontrivial", f"K={rep.K:.3e}, M={M:.3e}: "
+                                   "zero on every weighted node")
     scale = CERT_TOL * (1.0 + rep.K)
     if not abs(rep.J) <= scale:
         raise CertificationFailure("pohozaev", f"|J|={abs(rep.J):.3e} > {scale:.3e}")
@@ -249,18 +244,11 @@ def _coupled_newton(state: State, params: EnergyParams) -> State:
 
 
 # ----------------------------------------------------------------------
-# multi-start driver
+# driver
 
-def _initial_states(params: EnergyParams, grid: RadialGrid, cfg: SolveConfig,
-                    base_u: ScalarGroundState, base_v: ScalarGroundState):
-    """The descent starts, named by strategy: (w_f, w_g) and (1.2 w_f, 0.6 w_g)."""
-    u0 = base_u.profile.values
-    v0 = base_v.profile.values
-    starts = {InitStrategy.SCALAR_PAIR: (u0, v0),
-              InitStrategy.PERTURBED_SCALAR: (1.2 * u0, 0.6 * v0)}
-    return [(s.value, State(Profile(grid, u), Profile(grid, v)))
-            for s, (u, v) in starts.items()
-            if cfg.init_strategy in (s, InitStrategy.ALL)]
+def _initial_states(base_u: ScalarGroundState, base_v: ScalarGroundState):
+    """The named descent starts: the one scalar pair (w_f, w_g)."""
+    return [("scalar_pair", State(base_u.profile, base_v.profile))]
 
 
 def _settle_on_manifold(state: State, params: EnergyParams) -> State:
@@ -350,9 +338,9 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
                   cfg: SolveConfig = SolveConfig(),
                   baselines: tuple[ScalarGroundState, ScalarGroundState] | None = None,
                   ) -> GroundState:
-    """Lowest-energy state among scalar embeddings and coupled descent runs.
+    """Lowest-energy state among the scalar embeddings and the descent run.
 
-    `_candidate` judges the two embeddings and every start's handoffs
+    `_candidate` judges the two embeddings and the start's handoffs
     alike; a start that raises drops only itself.  The embeddings lie on
     rays that cross the manifold, so the lesser of their Φ_h bounds the
     ground level: a state above it (beyond TIE_REL) is rejected too.  When
@@ -368,7 +356,7 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
     embeddings = {"scalar_u": State(base_u.profile, zero),
                   "scalar_v": State(zero, base_v.profile)}
     runs = [(name, _candidate(e, params, 0)) for name, e in embeddings.items()]
-    for name, init in _initial_states(params, grid, cfg, base_u, base_v):
+    for name, init in _initial_states(base_u, base_v):
         try:
             runs.append((name, _run_start(init, params, cfg.max_iters)))
         except (NumericalError, ZeroState) as exc:

@@ -209,6 +209,7 @@ def test_check_accepts_solver_output(coupled_run):
     assert code == 0
     assert re.search(r"^J=", out, re.M)
     assert re.search(r"^residual_u=", out, re.M)
+    assert re.search(r"^morse_index=1$", out, re.M)
 
 
 def test_check_rejects_perturbed_state(coupled_run, tmp_path):
@@ -252,6 +253,34 @@ def test_check_rejects_the_zero_state(tmp_path):
     assert code == 3
     assert re.search(r"^K=0$", out, re.M)
     assert "certification failed" in err and "nontrivial" in err
+
+
+def test_check_rejects_a_state_zero_on_weighted_nodes(tmp_path):
+    # node 0 has weight 0: u = (1e-6, 0, …, 0) has K > 0 but M = 0, and
+    # would meet the Pohozaev, energy and residual clauses as the zero state
+    conf = write_conf(tmp_path / "c.conf",
+                      "f.family = cubic\nbeta = 2.0\ngrid.N = 800\n")
+    grid = RadialGrid(R=20.0, N=800)
+    u = np.zeros(grid.N + 1)
+    u[0] = 1e-6
+    write_state_csv(State(Profile(grid, u), Profile.zero(grid)),
+                    tmp_path / "node0.csv")
+    code, out, err = run_cli("check", conf, str(tmp_path / "node0.csv"))
+    assert code == 3
+    assert "certification failed" in err and "nontrivial" in err
+
+
+def test_check_rejects_a_saddle(tmp_path, cubic_scalar):
+    # below β = 1 the symmetric state (w, w)/√(1+β) solves the system and
+    # passes every clause of `certify`, but it is a saddle of index 2
+    conf = write_conf(tmp_path / "c.conf", "f.family = cubic\nbeta = 0.9\n")
+    w = cubic_scalar.profile
+    half = Profile(w.grid, w.values / np.sqrt(1.9))
+    write_state_csv(State(half, half), tmp_path / "saddle.csv")
+    code, out, err = run_cli("check", conf, str(tmp_path / "saddle.csv"))
+    assert code == 3
+    assert re.search(r"^morse_index=2$", out, re.M)
+    assert "certification failed" in err and "morse_index" in err
 
 
 def test_check_scalar_profile(tmp_path):

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from nlsground.config import load_config, parse_config
-from nlsground.coupled import InitStrategy
 from nlsground.errors import ConfigError
 from nlsground.nonlinearity import eval_f
 
@@ -18,7 +17,6 @@ def test_minimal_config_defaults():
     assert cfg.beta_list is None
     assert cfg.solver.seed == 0
     assert cfg.output_dir == Path(".")
-    assert cfg.solver.init_strategy is InitStrategy.ALL
 
 
 def test_full_config_round_trip():
@@ -116,8 +114,8 @@ def test_distinct_g_family():
     (" = 3\nf.family = cubic\n", "empty key"),
     ("f.family = @!\n", "cannot parse"),
     ("f.family = cubic\nseed = -1\n", "seed must be >= 0"),
-    # the budget and the start strategy are `SolveConfig` fields only, and
-    # the number of random starts is fixed in code
+    # the budget is a `SolveConfig` field only; the one descent start is
+    # fixed in code, with no strategy or random-start count to choose
     ("f.family = cubic\nsolver.max_iters = 500\n", "unknown keys"),
     ("f.family = cubic\nsolver.init_strategy = scalar_pair\n", "unknown keys"),
     ("f.family = cubic\nsolver.n_random = 3\n", "unknown keys"),

@@ -10,8 +10,8 @@ from scipy.linalg import solveh_banded
 
 import nlsground.coupled as coupled_mod
 import nlsground.energy as energy_mod
-from nlsground.coupled import (GroundState, InitStrategy, Kind, SolveConfig,
-                               certify, classify, solve_coupled)
+from nlsground.coupled import (GroundState, Kind, SolveConfig, certify,
+                               classify, solve_coupled)
 from nlsground.energy import (EnergyParams, energy_report, project_pohozaev,
                               projected_energy)
 from nlsground.errors import (CertificationFailure, NegativeBeta,
@@ -27,9 +27,7 @@ def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(max_iters=0)
     with pytest.raises(ValueError):
-        SolveConfig(init_strategy="bogus")
-    cfg = SolveConfig(init_strategy="scalar_pair")
-    assert cfg.init_strategy is InitStrategy.SCALAR_PAIR
+        SolveConfig(seed=-1)
 
 
 @pytest.mark.parametrize("bad", [2.5, True])
@@ -129,7 +127,7 @@ def test_descent_candidates_go_through_certify(monkeypatch, grid, cubic_nl,
 
     monkeypatch.setattr(coupled_mod, "certify", reject)
     with pytest.raises(NoConvergence):
-        solve_coupled(params, grid, SolveConfig(init_strategy="scalar_pair"),
+        solve_coupled(params, grid, SolveConfig(),
                       baselines=(cubic_scalar, cubic_scalar))
     # the two scalar embeddings, then one Newton handoff per descent round
     assert len(rounds) >= 2
@@ -171,7 +169,7 @@ def test_symmetric_start_ends_on_the_saddle(monkeypatch, grid, cubic_nl,
     # one saddle end the start, and the scalar_u embedding wins
     params = EnergyParams(cubic_nl, cubic_nl, 0.99)
     rounds = _count_rounds(monkeypatch)
-    gs = solve_coupled(params, grid, SolveConfig(init_strategy="scalar_pair"),
+    gs = solve_coupled(params, grid, SolveConfig(),
                        baselines=(cubic_scalar, cubic_scalar))
     assert len(rounds) == 2 and rounds[0] == coupled_mod.ROUND
     assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
@@ -189,7 +187,7 @@ def test_repeated_saddle_ends_a_moving_start(monkeypatch, grid, cubic_nl,
         return Profile.from_callable(grid,
                                      lambda r: a * np.exp(-r ** 2 / (2 * s * s)))
 
-    def gaussian_inits(params, grid, cfg, base_u, base_v):
+    def gaussian_inits(base_u, base_v):
         return [("gauss_0", State(gauss(3.09, 0.945), gauss(2.17, 0.918))),
                 ("gauss_1", State(gauss(3.53, 1.57), gauss(3.78, 1.70)))]
 
@@ -204,7 +202,7 @@ def test_repeated_saddle_ends_a_moving_start(monkeypatch, grid, cubic_nl,
 
 def test_armijo_failure_ends_a_start(monkeypatch, grid, cubic_nl,
                                      cubic_scalar):
-    # with no trial step able to pass, each round stops after its first
+    # with no trial step able to pass, the round stops after its first
     # iteration, and that round's handoff (the saddle, rejected) is the
     # start's last; the scalar_u embedding wins
     params = EnergyParams(cubic_nl, cubic_nl, 0.99)
@@ -212,8 +210,8 @@ def test_armijo_failure_ends_a_start(monkeypatch, grid, cubic_nl,
     rounds = _count_rounds(monkeypatch)
     ends = _record_starts(monkeypatch)
     gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
-    assert rounds == [1, 1]
-    assert ends == [(None, "Morse index 2 after 1 iterations")] * 2
+    assert rounds == [1]
+    assert ends == [(None, "Morse index 2 after 1 iterations")]
     assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
 
 
@@ -246,7 +244,7 @@ def test_returned_state_is_one_certify_accepted(monkeypatch, grid, cubic_nl,
         return rep
 
     monkeypatch.setattr(coupled_mod, "certify", spy)
-    gs = solve_coupled(params, grid, SolveConfig(init_strategy="scalar_pair"),
+    gs = solve_coupled(params, grid, SolveConfig(),
                        baselines=(cubic_scalar, cubic_scalar))
     assert gs.kind is Kind.SCALAR_U
     assert any(gs.state is st for st in accepted)
@@ -283,7 +281,7 @@ def test_non_finite_gradient_is_a_numerical_error(monkeypatch, grid, cubic_nl,
     monkeypatch.setattr(coupled_mod, "_phi_gradient", poisoned)
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     with pytest.raises(NumericalError, match="iteration 0"):
-        solve_coupled(params, grid, SolveConfig(init_strategy="scalar_pair"),
+        solve_coupled(params, grid, SolveConfig(),
                       baselines=(cubic_scalar, cubic_scalar))
 
 
@@ -339,7 +337,7 @@ def test_infeasible_inits_raise(monkeypatch, grid, cubic_nl, cubic_scalar):
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     tiny = Profile.from_callable(grid, lambda r: 0.1 * np.exp(-r ** 2 / 2.0))
 
-    def tiny_inits(params, grid, cfg, base_u, base_v):
+    def tiny_inits(base_u, base_v):
         return [("tiny", State(tiny, tiny))]
 
     monkeypatch.setattr(coupled_mod, "_initial_states", tiny_inits)
@@ -378,17 +376,6 @@ def test_descend_rejects_infeasible_state(grid, cubic_nl):
     with pytest.raises(NoProjection):
         coupled_mod._descend(State(tiny, tiny), params,
                              SolveConfig().max_iters)
-
-
-@pytest.mark.parametrize("strategy", ["scalar_pair", "perturbed_scalar"])
-def test_init_strategies_reach_same_ground_state(strategy, grid, cubic_nl,
-                                                 cubic_scalar, coupled_beta2):
-    params, reference = coupled_beta2
-    cfg = SolveConfig(init_strategy=strategy)
-    gs = solve_coupled(params, grid, cfg,
-                       baselines=(cubic_scalar, cubic_scalar))
-    assert gs.kind is Kind.VECTOR
-    assert gs.m == pytest.approx(reference.m, rel=1e-8)
 
 
 def test_solver_deterministic(grid, cubic_nl, cubic_scalar, coupled_beta2):
@@ -441,7 +428,7 @@ def test_scalar_pair_needs_more_than_one_round(monkeypatch):
                           power_sum([(0.5, 1.2)]), 0.2)
     base_u, base_v = coupled_mod.scalar_baselines(params, g)
     rounds = _count_rounds(monkeypatch)
-    gs = solve_coupled(params, g, SolveConfig(init_strategy="scalar_pair"),
+    gs = solve_coupled(params, g, SolveConfig(),
                        baselines=(base_u, base_v))
     assert gs.kind is Kind.VECTOR
     assert gs.m == pytest.approx(127.649453939963, rel=1e-9)
@@ -451,17 +438,17 @@ def test_scalar_pair_needs_more_than_one_round(monkeypatch):
 def test_coarse_grid_cannot_certify(monkeypatch, cubic_nl):
     # on a deliberately coarse mesh the discrete Pohozaev defect of the
     # converged states exceeds the certificate budget, and the solver
-    # reports that honestly instead of returning an uncertified state; each
-    # of the two starts polishes twice to that one state and stops there
+    # reports that honestly instead of returning an uncertified state; the
+    # start polishes twice to that one state and stops there
     g = RadialGrid(R=20.0, N=640)
     base = solve_scalar(cubic_nl, g)
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     rounds = _count_rounds(monkeypatch)
     with pytest.raises(NoConvergence) as exc:
         solve_coupled(params, g, baselines=(base, base))
-    assert rounds == [coupled_mod.ROUND] * 4
+    assert rounds == [coupled_mod.ROUND] * 2
     # the one failure names every run with its reason
-    for name in ("scalar_u", "scalar_v", "scalar_pair", "perturbed_scalar"):
+    for name in ("scalar_u", "scalar_v", "scalar_pair"):
         assert f"{name}: certificate clause violated" in str(exc.value)
 
 
