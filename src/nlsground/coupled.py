@@ -7,7 +7,7 @@ over that cone equals the constrained minimum over the manifold.  The
 solver therefore runs an unconstrained preconditioned descent on Φ
 (rejecting trial steps that leave the cone) from one start, the pair
 (w_f, w_g) of scalar ground states, but only to find the basin: it runs
-in rounds of 50 iterations, and after each round the iterate is projected
+in rounds of 20 iterations, and after each round the iterate is projected
 onto the manifold by the closed-form dilation, polished to the exact
 discrete critical point with the damped Newton iteration on the
 full coupled system (`nlsground.energy.newton`), and projected once more
@@ -71,7 +71,7 @@ BACKTRACK = 0.5        # step shrink per rejected Armijo trial
 CERT_TOL = 1e-6        # |J| and |I − K/3| against 1 + K
 CERT_RESIDUAL = 1e-5   # each relative PDE residual
 TIE_REL = 1e-12        # candidate energies this close count as equal
-ROUND = 50             # descent iterations between Newton handoffs
+ROUND = 20             # descent iterations between Newton handoffs
 
 
 class Kind(enum.Enum):

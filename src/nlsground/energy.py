@@ -210,8 +210,8 @@ def newton(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
         res[1::2] = rv[:N]
         return res
 
+    res = residual(u, v)
     for _ in range(NEWTON_MAX_ITER):
-        res = residual(u, v)
         rn = float(np.sqrt(res @ res))
         umax = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1.0)
         if rn <= 1e-12 * umax * math.sqrt(n):
@@ -229,8 +229,9 @@ def newton(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
             tv = v.copy()
             tu[:N] -= lam * step[0::2]
             tv[:N] -= lam * step[1::2]
-            if float(np.linalg.norm(residual(tu, tv))) < rn:
-                u, v = tu, tv
+            trial = residual(tu, tv)
+            if float(np.linalg.norm(trial)) < rn:
+                u, v, res = tu, tv, trial   # the next step's residual
                 break
             lam *= 0.5
         else:

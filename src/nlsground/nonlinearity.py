@@ -125,8 +125,10 @@ def eval_F(nl: Nonlinearity, t):
     """Evaluate the exact primitive F(t) = int_0^t f; even in t, F(0) = 0."""
     t = np.asarray(t, dtype=float)
     if nl.family == POWER_SUM:
+        # |t|^{p+1} as |t|^{p−1}·t²: the cubic's `** 2.0` skips the general pow
         at = np.abs(t)
-        out = _sum_terms(t, (a / (p + 1.0) * at ** (p + 1.0)
+        t2 = t * t
+        out = _sum_terms(t, (a / (p + 1.0) * at ** (p - 1.0) * t2
                              for a, p in nl.terms))
     else:
         t2 = t * t

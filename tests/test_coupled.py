@@ -67,6 +67,18 @@ def test_vector_energy_matches_symmetric_ansatz(coupled_beta2, cubic_scalar):
     assert gs.m == pytest.approx(expect, rel=1e-3)
 
 
+def test_near_threshold_vector_state_takes_one_round(grid, cubic_nl,
+                                                     cubic_scalar):
+    # just above β = 1 the descent from (w, w) finds the vector basin in
+    # its first round: the first handoff is accepted
+    params = EnergyParams(cubic_nl, cubic_nl, 1.01)
+    gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
+    assert gs.kind is Kind.VECTOR
+    assert gs.iterations == coupled_mod.ROUND
+    expect = 2.0 * cubic_scalar.action / (1.0 + params.beta)
+    assert gs.m == pytest.approx(expect, rel=1e-9)
+
+
 def test_weak_coupling_returns_scalar(coupled_beta01, cubic_scalar):
     params, gs = coupled_beta01
     assert gs.kind in (Kind.SCALAR_U, Kind.SCALAR_V)
@@ -196,7 +208,8 @@ def test_repeated_saddle_ends_a_moving_start(monkeypatch, grid, cubic_nl,
     ends = _record_starts(monkeypatch)
     gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
     assert rounds == [coupled_mod.ROUND, coupled_mod.ROUND] * 2
-    assert ends == [(None, "Morse index 2 after 100 iterations")] * 2
+    assert ends == [(None, f"Morse index 2 after {2 * coupled_mod.ROUND} "
+                           "iterations")] * 2
     assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import nlsground.coupled as coupled_mod
 import nlsground.energy as energy_mod
@@ -195,6 +196,75 @@ def test_first_variation_is_gradient_of_action(grid):
         fd = (energy_I(plus, params) - energy_I(minus, params)) / (2 * eps)
         inner = integrate(grid, ru * du) + integrate(grid, rv * dv)
         assert fd == pytest.approx(inner, rel=1e-5, abs=1e-8)
+
+
+def _newton_reevaluating(grid, u, v, params):
+    """The damped Newton of `energy.newton`, with the residual recomputed
+    at the start of every step.  Returns (u, v, line-search trials)."""
+    N, n, beta = grid.N, 2 * grid.N, params.beta
+    diag, upper, lower = energy_mod._laplacian_band(grid)
+    lap = np.zeros((5, n))
+    lap[2, 0::2] = lap[2, 1::2] = diag
+    lap[0, 2::2] = lap[0, 3::2] = upper
+    lap[4, 0:n - 2:2] = lap[4, 1:n - 2:2] = lower
+
+    def residual(uf, vf):
+        ru, rv = energy_mod._variation(grid, uf, vf, params)
+        res = np.empty(n)
+        res[0::2] = ru[:N]
+        res[1::2] = rv[:N]
+        return res
+
+    trials = 0
+    for _ in range(energy_mod.NEWTON_MAX_ITER):
+        res = residual(u, v)
+        rn = float(np.sqrt(res @ res))
+        umax = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1.0)
+        if rn <= 1e-12 * umax * math.sqrt(n):
+            break
+        ab = lap.copy()
+        ab[2, 0::2] += 1.0 - eval_df(params.f, u[:N]) - beta * v[:N] ** 2
+        ab[2, 1::2] += 1.0 - eval_df(params.g, v[:N]) - beta * u[:N] ** 2
+        ab[1, 1::2] = ab[3, 0:n - 1:2] = -2.0 * beta * u[:N] * v[:N]
+        step = solve_banded((2, 2), ab, res)
+        lam = 1.0
+        for _ in range(30):
+            tu, tv = u.copy(), v.copy()
+            tu[:N] -= lam * step[0::2]
+            tv[:N] -= lam * step[1::2]
+            trials += 1
+            if float(np.linalg.norm(residual(tu, tv))) < rn:
+                u, v = tu, tv
+                break
+            lam *= 0.5
+        else:
+            break
+    return u, v, trials
+
+
+def test_newton_evaluates_each_point_once(monkeypatch, grid, cubic_nl,
+                                          cubic_scalar):
+    # from a projected descent iterate of (w, w) at β = 1.01, the polish
+    # reuses each accepted trial's residual: one evaluation at the start
+    # and one per line-search trial, with iterates bitwise unchanged
+    params = EnergyParams(cubic_nl, cubic_nl, 1.01)
+    w = cubic_scalar.profile
+    state, _, _ = coupled_mod._descend(State(w, w), params, coupled_mod.ROUND)
+    state, _ = project_pohozaev(state, params)
+    u0, v0 = state.u.values, state.v.values
+    want_u, want_v, trials = _newton_reevaluating(grid, u0, v0, params)
+    assert trials >= 2
+    calls = []
+    real = energy_mod._variation
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(energy_mod, "_variation", counted)
+    u, v = energy_mod.newton(grid, u0, v0, params)
+    assert len(calls) == 1 + trials
+    assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
 
 
 def test_residuals_of_scalar_solution_embedding(grid, cubic_scalar):

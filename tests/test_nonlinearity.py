@@ -63,7 +63,7 @@ def test_power_sum_matches_the_accumulator_loop():
         df = np.zeros_like(t)
         for a, p in nl.terms:
             f += a * at ** (p - 1.0)
-            F += a / (p + 1.0) * at ** (p + 1.0)
+            F += a / (p + 1.0) * at ** (p - 1.0) * (t * t)
             df += a * p * at ** (p - 1.0)
         return f * t, F, df
 
@@ -79,6 +79,25 @@ def test_power_sum_matches_the_accumulator_loop():
             for got, want in zip((eval_f(nl, t), eval_F(nl, t),
                                   eval_df(nl, t)), loop(nl, t)):
                 assert isinstance(got, float) and got == float(want)
+
+
+@pytest.mark.parametrize("nl", [
+    cubic(), log_enhanced(0.7), power_sum([(1.0, 2.0), (0.5, 3.5)]),
+    power_sum([(2.0, 1.5), (0.3, 2.5), (1.0, 4.5)]), power_sum([(1.3, 1.05)])])
+def test_primitive_matches_its_closed_form(nl):
+    # F(t) = Σ a|t|^{p+1}/(p+1), or a t² ln(1+t²)/2, summed term by term
+    # in Python floats
+    def closed(t):
+        if nl.family == "log_enhanced":
+            return 0.5 * nl.amplitude * t * t * math.log1p(t * t)
+        return sum(a / (p + 1.0) * abs(t) ** (p + 1.0) for a, p in nl.terms)
+
+    t = np.concatenate([[0.0, -0.0, 1e-8, -1e-3], np.linspace(-7.5, 7.5, 301),
+                        [-40.0, 123.4]])
+    want = np.array([closed(x) for x in t.tolist()])
+    np.testing.assert_allclose(eval_F(nl, t), want, rtol=1e-14, atol=0.0)
+    for x in (0.0, -2.3, 0.6):
+        assert eval_F(nl, x) == pytest.approx(closed(x), rel=1e-14, abs=0.0)
 
 
 def test_validation_errors():
