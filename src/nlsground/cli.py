@@ -123,7 +123,8 @@ def cmd_check(cfg: RunConfig, state_csv: str) -> int:
     params = EnergyParams(cfg.f, cfg.g, beta)
     print(energy_report(state, params).lines())
     certify(state, params)
-    index = morse_index(state, params)   # a ground state has index 1
+    # a ground state has index 1
+    index = morse_index(state.grid, state.values, params)
     print(f"morse_index={index}")
     if index != 1:
         raise CertificationFailure("morse_index", f"index {index}, want 1")

@@ -105,7 +105,8 @@ def parse_config(text: str) -> RunConfig:
     try:
         grid = RadialGrid(R=pairs.get("grid.R", 20.0),
                           N=pairs.get("grid.N", 4000))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
+        # MemoryError: an N too large to allocate, such as 10**15
         raise ConfigError(f"grid: {exc}") from exc
 
     f = _build_nonlinearity(pairs, "f")

@@ -28,20 +28,24 @@ lesser projected action Φ_h of the embeddings bounds the answer: a state
 above it is rejected.  Below the coupling threshold an embedding wins;
 above it, the state the descent reaches from (w_f, w_g).  The CLI judges
 states with `certify` and `morse_index` too.
-`nlsground.scalar.solve_scalar` is one round of this on (w, 0).
+`nlsground.scalar.solve_scalar` is one round of this on the one node
+array (w,): the descent, the projection and the Newton polish take one
+or two components, and the coupling is present only with two.
 
 The weighted gradient of Φ is
 
     G_u = a·(−Δ_h u) + b·(u − f(u) − βuv²),  a = sqrt(K/(6W)),  b = Φ/(2W)
 
-(and symmetrically for v); at any point of the manifold a = b = 1, so G
-coincides with the PDE residual — criticality of Φ and of the action
-agree there, which is the natural-constraint property in discrete form.
+(and symmetrically for v, when there is one); at any point of the
+manifold a = b = 1, so G coincides with the PDE residual — criticality
+of Φ and of the action agree there, which is the natural-constraint
+property in discrete form.
 It is `nlsground.energy._variation` with these weights; the descent's
 (I − Δ_h) preconditioner is built from the same −Δ_h bands as the Newton
 Jacobian.  Scaled by the quadrature weights it is symmetric positive
 definite, so it is factored once per round without pivoting (LAPACK
-`pttrf`) and applied once per iteration (`pttrs`).
+`pttrf`) and applied once per iteration (`pttrs`, one right-hand side
+per component).
 """
 from __future__ import annotations
 
@@ -150,14 +154,15 @@ def certify(gs: GroundState | State, params: EnergyParams) -> EnergyReport:
 # ----------------------------------------------------------------------
 # reduced objective: value and weighted gradient, on raw node arrays
 
-def _phi_gradient(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams,
-                  K: float, W: float):
-    """Weighted gradient pair of Φ at (u, v) with terms K, W; 0 at nodes 0, N."""
+def _phi_gradient(grid, ys, params: EnergyParams, K: float, W: float):
+    """Weighted gradient of Φ at node arrays `ys` with terms K, W, one array
+    per component; 0 at nodes 0, N."""
     a = math.sqrt(K / (6.0 * W))
     b = _phi_value(K, W) / (2.0 * W)
-    gu, gv = _variation(grid, u, v, params, a, b)
-    gu[0] = gv[0] = 0.0
-    return gu, gv
+    gs = _variation(grid, ys, params, a, b)
+    for g in gs:
+        g[0] = 0.0
+    return gs
 
 
 def _factor_preconditioner(grid):
@@ -178,59 +183,58 @@ def _factor_preconditioner(grid):
     return w, d, e
 
 
-def _precondition(factors, gu: np.ndarray, gv: np.ndarray):
-    """Solve (I − Δ_h) d = g for both components as W(I − Δ_h) d = W g."""
+def _precondition(factors, gs):
+    """Solve (I − Δ_h) d = g for each component as W(I − Δ_h) d = W g."""
     w, dd, e = factors
-    rhs = np.empty((2, gu.size - 2))
-    np.multiply(w, gu[1:-1], out=rhs[0])
-    np.multiply(w, gv[1:-1], out=rhs[1])
+    size = gs[0].size
+    rhs = np.empty((len(gs), size - 2))
+    for row, g in zip(rhs, gs):
+        np.multiply(w, g[1:-1], out=row)
     x, _ = dpttrs(dd, e, rhs.T, overwrite_b=1)   # rhs.T is Fortran-ordered
-    d = np.zeros((2, gu.size))
+    d = np.zeros((len(gs), size))
     d[:, 1:-1] = x.T
     d[:, 0] = d[:, 1]
-    return d[0], d[1]
+    return tuple(d)
 
 
-def _descend(state: State, params: EnergyParams, max_iters: int):
-    """One round of Armijo descent on Φ; returns (state, iterations, grad).
+def _descend(grid, ys, params: EnergyParams, max_iters: int):
+    """One round of Armijo descent on Φ; returns (ys, iterations, grad).
 
-    Runs on raw node arrays from a start on the cone (else `_cone_terms`
-    raises) and never leaves it.  Stops after `max_iters` iterations, or
-    when no backtracked step decreases enough; `grad` is the last weighted ‖G‖.
+    Runs on the node arrays `ys`, (u, v) or (w,), from a start on the cone
+    (else `_cone_terms` raises) and never leaves it.  Stops after
+    `max_iters` iterations, or when no backtracked step decreases enough;
+    `grad` is the last weighted ‖G‖.
     """
-    gr = state.grid
-    u = state.u.values.copy()
-    v = state.v.values.copy()
-    u[0] = u[1]
-    v[0] = v[1]
-    K, W = _cone_terms(gr, u, v, params)
+    ys = tuple(y.copy() for y in ys)
+    for y in ys:
+        y[0] = y[1]
+    K, W = _cone_terms(grid, ys, params)
     phi = _phi_value(K, W)
-    factors = _factor_preconditioner(gr)
+    factors = _factor_preconditioner(grid)
     it = 0
     gnorm = math.inf
     while it < max_iters:
-        gu, gv = _phi_gradient(gr, u, v, params, K, W)
-        gnorm = math.sqrt(float(gr.w @ (gu * gu) + gr.w @ (gv * gv)))
+        gs = _phi_gradient(grid, ys, params, K, W)
+        gnorm = math.sqrt(float(sum(grid.w @ (g * g) for g in gs)))
         # ‖G‖ is not finite when G is not, or when G·G overflows: scan then
-        if not math.isfinite(gnorm) and not (np.isfinite(gu).all()
-                                             and np.isfinite(gv).all()):
+        if not math.isfinite(gnorm) and not all(np.isfinite(g).all()
+                                                for g in gs):
             raise NoConvergence(f"non-finite descent gradient at iteration {it}")
-        du, dv = _precondition(factors, gu, gv)
-        slope = float(gr.w @ (gu * du) + gr.w @ (gv * dv))
+        ds = _precondition(factors, gs)
+        slope = float(sum(grid.w @ (g * d) for g, d in zip(gs, ds)))
         it += 1
         s = 1.0
         for _ in range(60):
-            tu = u - s * du
-            tv = v - s * dv
-            Kt, Wt = _terms(gr, tu, tv, params)
+            trial = tuple(y - s * d for y, d in zip(ys, ds))
+            Kt, Wt = _terms(grid, trial, params)
             pt = _phi_value(Kt, Wt)
             if pt <= phi - ARMIJO * s * slope:
-                u, v, K, W, phi = tu, tv, Kt, Wt, pt
+                ys, K, W, phi = trial, Kt, Wt, pt
                 break
             s *= BACKTRACK
         else:
             break   # no Armijo step
-    return State(Profile(gr, u), Profile(gr, v)), it, gnorm
+    return ys, it, gnorm
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +243,7 @@ def _descend(state: State, params: EnergyParams, max_iters: int):
 def _coupled_newton(state: State, params: EnergyParams) -> State:
     """Polish with the shared damped Newton of `nlsground.energy.newton`."""
     gr = state.grid
-    u, v = newton(gr, state.u.values, state.v.values, params)
+    u, v = newton(gr, state.values, params)
     return State(Profile(gr, u), Profile(gr, v))
 
 
@@ -261,7 +265,7 @@ def _settle_on_manifold(state: State, params: EnergyParams) -> State:
     nothing that matters.  On coarse grids the defect exceeds the budget
     and the trade goes the other way.
     """
-    K, W = _terms(state.grid, state.u.values, state.v.values, params)
+    K, W = _terms(state.grid, state.values, params)
     if abs(0.5 * K - 3.0 * W) <= 0.5 * CERT_TOL * (1.0 + K):
         return state
     return project_pohozaev(state, params)[0]
@@ -287,7 +291,7 @@ def _candidate(state: State, params: EnergyParams, iterations: int):
     except (NoProjection, CertificationFailure) as exc:
         return None, str(exc)
     # on the manifold the dilation direction is negative: a saddle has ≥ 2
-    index = morse_index(gs.state, params)
+    index = morse_index(gs.state.grid, gs.state.values, params)
     if index != 1:
         return None, f"Morse index {index}"
     return gs, ""
@@ -309,13 +313,15 @@ def _run_start(init: State, params: EnergyParams, max_iters: int):
     move still hands Newton a new state each round.  Returns (accepted
     state, "") or (None, the last rejection and the iteration count).
     """
+    gr = init.grid
     state, done = init, 0
     last = None
     while True:
         budget = min(ROUND, max_iters - done)
-        state, iters, _ = _descend(state, params, budget)
+        (u, v), iters, _ = _descend(gr, state.values, params, budget)
         done += iters
-        state, _ = project_pohozaev(state, params)
+        state, _ = project_pohozaev(State(Profile(gr, u), Profile(gr, v)),
+                                    params)
         polished = _coupled_newton(state, params)
         gs, reason = _candidate(polished, params, done)
         if gs is not None:

@@ -15,9 +15,12 @@ crosses the manifold exactly once, at t = sqrt(K/(6W)); projecting along
 dilations is therefore closed-form.
 
 The one discrete operator both solvers share lives here too: the first
-variation on raw node arrays, the −Δ_h bands of its Jacobian, the
-damped `newton` polish and the `morse_index` of the action's Hessian.
-`nlsground.coupled.certify` judges its states.
+variation, the −Δ_h bands of its Jacobian, the damped `newton` polish and
+the `morse_index` of the action's Hessian.  It reads a state as a tuple of
+one or two node arrays: (u, v) for the coupled system, (w,) for the scalar
+equation, which is the coupled one at v = 0 and β = 0 with the absent
+component's terms dropped.  The β·u²v² coupling is present only when there
+are two.  `nlsground.coupled.certify` judges its states.
 """
 from __future__ import annotations
 
@@ -28,8 +31,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NoProjection, ZeroState
-from .grid import (Profile, State, dilate, flux_laplacian_interior, integrate,
-                   kinetic)
+from .grid import (Profile, State, dilate_values, flux_laplacian_interior,
+                   integrate, kinetic)
 from .nonlinearity import Nonlinearity, eval_F, eval_df, eval_f
 
 __all__ = [
@@ -70,46 +73,50 @@ class EnergyReport:
         return "\n".join(f"{k}={format(getattr(self, k), '.17g')}" for k in keys)
 
 
-def _terms(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
-    """(K, W) of node arrays: Dirichlet energy and well depth P − M/2."""
-    du = u[1:] - u[:-1]
-    dv = v[1:] - v[:-1]
-    K = float(grid.flux @ (du * du)) + float(grid.flux @ (dv * dv))
-    M = integrate(grid, u * u + v * v)
-    P = integrate(grid, eval_F(params.f, u) + eval_F(params.g, v)
-                  + 0.5 * params.beta * (u * u) * (v * v))
-    return K, P - 0.5 * M
+def _terms(grid, ys, params: EnergyParams):
+    """(K, W) of node arrays (u, v) or (w,): Dirichlet energy, well depth
+    P − M/2."""
+    K = sum(float(grid.flux @ np.square(np.diff(y))) for y in ys)
+    u = ys[0]
+    M, P = u * u, eval_F(params.f, u)
+    if len(ys) == 2:
+        vv = ys[1] * ys[1]
+        P = P + eval_F(params.g, ys[1]) + 0.5 * params.beta * M * vv
+        M = M + vv
+    return K, integrate(grid, P) - 0.5 * integrate(grid, M)
 
 
 def energy_I(state: State, params: EnergyParams) -> float:
-    K, W = _terms(state.grid, state.u.values, state.v.values, params)
+    K, W = _terms(state.grid, state.values, params)
     return 0.5 * K - W
 
 
 def pohozaev_J(state: State, params: EnergyParams) -> float:
-    K, W = _terms(state.grid, state.u.values, state.v.values, params)
+    K, W = _terms(state.grid, state.values, params)
     return 0.5 * K - 3.0 * W
 
 
-def _variation(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams,
-               a: float = 1.0, b: float = 1.0):
-    """Discrete a·(−Δ_h y) + b·(y − f(y) − β y·other²) on raw node arrays.
+def _variation(grid, ys, params: EnergyParams, a: float = 1.0, b: float = 1.0):
+    """Discrete a·(−Δ_h y) + b·(y − f(y) − β y·other²) for each y of `ys`.
 
     With a = b = 1 it is the first variation of the action; the weights of
     Φ's gradient give `nlsground.coupled._phi_gradient`.  Interior nodes
     use the flux-form Laplacian (the exact adjoint of the discrete kinetic
     energy); the origin uses the symmetry-limit stencil; the Dirichlet
-    node N carries no variation.
+    node N carries no variation.  Returns one array per component.
     """
-    def one(y, other_sq, nl: Nonlinearity):
-        source = y - eval_f(nl, y) - params.beta * y * other_sq
-        out = np.empty(grid.N + 1)
-        out[1:-1] = -a * flux_laplacian_interior(grid, y) + b * source[1:-1]
-        out[0] = -a * 6.0 * (y[1] - y[0]) / grid.h ** 2 + b * source[0]
-        out[-1] = 0.0
-        return out
-
-    return one(u, v * v, params.f), one(v, u * u, params.g)
+    out = []
+    for k, (y, nl) in enumerate(zip(ys, (params.f, params.g))):
+        source = y - eval_f(nl, y)
+        if len(ys) == 2:
+            other = ys[1 - k]
+            source -= params.beta * y * (other * other)
+        var = np.empty(grid.N + 1)
+        var[1:-1] = -a * flux_laplacian_interior(grid, y) + b * source[1:-1]
+        var[0] = -a * 6.0 * (y[1] - y[0]) / grid.h ** 2 + b * source[0]
+        var[-1] = 0.0
+        out.append(var)
+    return tuple(out)
 
 
 def _laplacian_band(grid):
@@ -124,39 +131,47 @@ def _laplacian_band(grid):
     return diag, upper, -fc[0:N - 1] / w[1:N]
 
 
-def morse_index(state: State, params: EnergyParams) -> int:
-    """Number of eigenvalues below −INDEX_TOL of the action's Hessian.
+def morse_index(grid, ys, params: EnergyParams) -> int:
+    """Number of eigenvalues below −INDEX_TOL of the action's Hessian at `ys`.
 
-    The unknowns are u and v on nodes 1..N−1 with the tie y_0 = y_1 (the
-    descent's space): the flux between nodes 0 and 1 drops out, and node 0
-    has no weight to fold into node 1 (w_0 = 0 at r = 0).  Per node the
-    Hessian H is the `_laplacian_band` stiffness plus
+    `ys` holds the node arrays (u, v), or (w,) for the scalar action.  The
+    unknowns are each component on nodes 1..N−1 with the tie y_0 = y_1
+    (the descent's space): the flux between nodes 0 and 1 drops out, and
+    node 0 has no weight to fold into node 1 (w_0 = 0 at r = 0).  Per node
+    the Hessian H is the `_laplacian_band` stiffness plus
     diag(w(1 − f′(u) − βv²)), the same for v, and the cross term −2βwuv.
     The eigenvalues are those of H y = λ W y against the mass matrix
     W = diag(w), which approximate the linearised operator's; by Sylvester
     those below −INDEX_TOL are the negative pivots of the block LDLᵀ
-    recurrence of H + INDEX_TOL·W over the 2×2 node blocks.  A zero mode
-    (the circle of cubic vector states at β = 1) is not counted.  A ground
-    state has index 1.
+    recurrence of H + INDEX_TOL·W over the node blocks, 1×1 or 2×2 by the
+    component count.  A zero mode (the circle of cubic vector states at
+    β = 1) is not counted.  A ground state has index 1.
     """
-    gr = state.grid
-    N, beta = gr.N, params.beta
-    w = gr.w[1:N]
-    u = state.u.values[1:N]
-    v = state.v.values[1:N]
-    diag, upper, _ = _laplacian_band(gr)
+    N, beta = grid.N, params.beta
+    w = grid.w[1:N]
+    diag, upper, _ = _laplacian_band(grid)
     stiff = w * diag[1:]
     stiff[0] = -w[0] * upper[1]             # the tie drops the flux to node 0
+    # node i couples to node i−1 by e·I with e = −flux_{i−1}; node 1 has none
+    e2 = np.zeros(N - 1)
+    e2[1:] = np.square(w[:-1] * upper[1:])
+    u = ys[0][1:N]
+    count = 0
+    # memoryviews hand the loops Python floats without list copies
+    if len(ys) == 1:
+        d = 1.0
+        pivots = stiff + w * (1.0 + INDEX_TOL - eval_df(params.f, u))
+        for a, s in zip(memoryview(pivots), memoryview(e2)):
+            d = a - s / d                   # D_i = A_i − e² / D_{i−1}
+            if d < 0.0:
+                count += 1
+        return count
+    v = ys[1][1:N]
     pu = w * (1.0 + INDEX_TOL - eval_df(params.f, u) - beta * v * v)
     pv = w * (1.0 + INDEX_TOL - eval_df(params.g, v) - beta * u * u)
     pc = -2.0 * beta * w * u * v
-    # node i couples to node i−1 by e·I₂ with e = −flux_{i−1}; node 1 has none
-    e2 = np.zeros(N - 1)
-    e2[1:] = np.square(w[:-1] * upper[1:])
-    count = 0
     da = db = dc = 0.0
     det = 1.0
-    # memoryviews hand the loop Python floats without list copies
     blocks = zip(memoryview(stiff + pu), memoryview(stiff + pv),
                  memoryview(pc), memoryview(e2))
     for a, b, c, s in blocks:
@@ -176,67 +191,68 @@ def morse_index(state: State, params: EnergyParams) -> int:
 
 def first_variation(state: State, params: EnergyParams):
     """Pointwise L^2-gradient pair (-Δu + u - f(u) - βuv², same with u↔v, f→g)."""
-    return _variation(state.grid, state.u.values, state.v.values, params)
+    return _variation(state.grid, state.values, params)
 
 
-def newton(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
-    """Damped Newton on the discrete system in (u, v); returns (u, v).
+def newton(grid, ys, params: EnergyParams):
+    """Damped Newton on the discrete system in `ys`, (u, v) or (w,).
 
-    The unknowns are nodes 0..N-1 of both components, interleaved (unknown
-    2i is u_i, 2i+1 is v_i) so that the Jacobian of `_variation` is banded
-    (2, 2); node N keeps the Dirichlet zero it comes with.  With v = 0 and
-    β = 0 the v rows decouple and the iteration is the scalar polish of u.
-    It runs to the roundoff floor of the residual (the 1/h² stencil
-    amplifies cancellation noise, so no fixed absolute target is safe);
-    the caller certifies the result.
+    The unknowns are nodes 0..N-1 of the c components, interleaved (unknown
+    c·i + k is component k at node i) so that the Jacobian of `_variation`
+    is banded (c, c): pentadiagonal for (u, v), tridiagonal for (w,).  Node
+    N keeps the Dirichlet zero it comes with.  It runs to the roundoff
+    floor of the residual (the 1/h² stencil amplifies cancellation noise,
+    so no fixed absolute target is safe); the caller certifies the result.
+    Returns a tuple of the polished arrays.
     """
     N = grid.N
-    n = 2 * N
+    c = len(ys)
+    n = c * N
     beta = params.beta
     # the Laplacian part of the Jacobian does not change between steps
     diag, upper, lower = _laplacian_band(grid)
-    lap = np.zeros((5, n))
-    lap[2, 0::2] = diag                 # A[2i, 2i]
-    lap[2, 1::2] = diag                 # A[2i+1, 2i+1]
-    lap[0, 2::2] = upper                # A[2i, 2i+2]
-    lap[0, 3::2] = upper                # A[2i+1, 2i+3]
-    lap[4, 0:n - 2:2] = lower           # A[2i+2, 2i]
-    lap[4, 1:n - 2:2] = lower           # A[2i+3, 2i+1]
+    lap = np.zeros((2 * c + 1, n))
+    for k in range(c):
+        lap[c, k::c] = diag             # A[ci+k, ci+k]
+        lap[0, c + k::c] = upper        # A[ci+k, c(i+1)+k]
+        lap[2 * c, k:n - c:c] = lower   # A[c(i+1)+k, ci+k]
 
-    def residual(uf, vf):
-        ru, rv = _variation(grid, uf, vf, params)
+    def residual(trial):
         res = np.empty(n)
-        res[0::2] = ru[:N]
-        res[1::2] = rv[:N]
+        for k, r in enumerate(_variation(grid, trial, params)):
+            res[k::c] = r[:N]
         return res
 
-    res = residual(u, v)
+    res = residual(ys)
     for _ in range(NEWTON_MAX_ITER):
         rn = float(np.sqrt(res @ res))
-        umax = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1.0)
-        if rn <= 1e-12 * umax * math.sqrt(n):
+        ymax = max([float(np.max(np.abs(y))) for y in ys] + [1.0])
+        if rn <= 1e-12 * ymax * math.sqrt(n):
             break
         ab = lap.copy()
-        ab[2, 0::2] += 1.0 - eval_df(params.f, u[:N]) - beta * v[:N] ** 2
-        ab[2, 1::2] += 1.0 - eval_df(params.g, v[:N]) - beta * u[:N] ** 2
-        cross = -2.0 * beta * u[:N] * v[:N]
-        ab[1, 1::2] = cross                 # A[2i, 2i+1]
-        ab[3, 0:n - 1:2] = cross            # A[2i+1, 2i]
-        step = solve_banded((2, 2), ab, res)
+        jac = [1.0 - eval_df(nl, y[:N]) for y, nl in zip(ys, (params.f, params.g))]
+        if c == 2:
+            u, v = ys[0][:N], ys[1][:N]
+            jac = [jac[0] - beta * v ** 2, jac[1] - beta * u ** 2]
+            cross = -2.0 * beta * u * v
+            ab[1, 1::2] = cross             # A[2i, 2i+1]
+            ab[3, 0:n - 1:2] = cross        # A[2i+1, 2i]
+        for k, d in enumerate(jac):
+            ab[c, k::c] += d
+        step = solve_banded((c, c), ab, res)
         lam = 1.0
         for _ in range(30):
-            tu = u.copy()
-            tv = v.copy()
-            tu[:N] -= lam * step[0::2]
-            tv[:N] -= lam * step[1::2]
-            trial = residual(tu, tv)
-            if float(np.linalg.norm(trial)) < rn:
-                u, v, res = tu, tv, trial   # the next step's residual
+            trial = tuple(y.copy() for y in ys)
+            for k, t in enumerate(trial):
+                t[:N] -= lam * step[k::c]
+            tres = residual(trial)
+            if float(np.linalg.norm(tres)) < rn:
+                ys, res = trial, tres       # the next step's residual
                 break
             lam *= 0.5
         else:
             break   # stalled at the floor; the caller's certificate decides
-    return u, v
+    return ys
 
 
 def _h1_norm(p: Profile) -> float:
@@ -264,17 +280,26 @@ def project_pohozaev(state: State, params: EnergyParams) -> tuple[State, float]:
     NoProjection off the cone of `_phi_value`, before any pass:
     interpolating a core narrower than h can lose W > 0.
     """
-    K, W = _cone_terms(state.grid, state.u.values, state.v.values, params)
+    grid, values = state.grid, state.values
+    ys, tbar = _project(grid, values, params)
+    if ys is values:            # no pass dilated
+        return state, tbar
+    return State(Profile(grid, ys[0]), Profile(grid, ys[1])), tbar
+
+
+def _project(grid, ys, params: EnergyParams):
+    """`project_pohozaev` on node arrays (u, v) or (w,); returns (ys, t̄)."""
+    K, W = _cone_terms(grid, ys, params)
     tbar = 1.0
     for _ in range(12):
         t = math.sqrt(K / (6.0 * W))
         if t != 1.0:
-            state = State(dilate(state.u, t), dilate(state.v, t))
+            ys = tuple(dilate_values(grid, y, t) for y in ys)
             tbar *= t
-        K, W = _cone_terms(state.grid, state.u.values, state.v.values, params)
+        K, W = _cone_terms(grid, ys, params)
         if abs(0.5 * K - 3.0 * W) <= 1e-12 * (1.0 + K):
             break
-    return state, tbar
+    return ys, tbar
 
 
 def _phi_value(K: float, W: float) -> float:
@@ -284,9 +309,9 @@ def _phi_value(K: float, W: float) -> float:
     return (K / 3.0) ** 1.5 / math.sqrt(2.0 * W)
 
 
-def _cone_terms(grid, u: np.ndarray, v: np.ndarray, params: EnergyParams):
+def _cone_terms(grid, ys, params: EnergyParams):
     """(K, W) of node arrays on the cone, where `_phi_value` is finite."""
-    K, W = _terms(grid, u, v, params)
+    K, W = _terms(grid, ys, params)
     if K == 0.0:    # the Dirichlet node and positive fluxes: only u = v = 0
         raise ZeroState("cannot project the zero state")
     if _phi_value(K, W) == math.inf:    # W = ∞ reads Φ = 0; t̄ = 0, ∞ cannot dilate
@@ -300,13 +325,12 @@ def projected_energy(state: State, params: EnergyParams) -> float:
     Dilation-invariant in exact arithmetic, since K scales like t and W
     like t³ along the ray.  Raises as `project_pohozaev` does.
     """
-    return _phi_value(*_cone_terms(state.grid, state.u.values,
-                                   state.v.values, params))
+    return _phi_value(*_cone_terms(state.grid, state.values, params))
 
 
 def energy_report(state: State, params: EnergyParams) -> EnergyReport:
-    gr, u, v = state.grid, state.u.values, state.v.values
-    K, W = _terms(gr, u, v, params)
+    gr, (u, v) = state.grid, state.values
+    K, W = _terms(gr, state.values, params)
     ru, rv = residuals(state, params)
     return EnergyReport(I=0.5 * K - W, J=0.5 * K - 3.0 * W, K=K, W=W,
                         normH1_sq=K + integrate(gr, u * u + v * v),

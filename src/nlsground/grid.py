@@ -123,6 +123,11 @@ class State:
     def grid(self) -> RadialGrid:
         return self.u.grid
 
+    @property
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The node arrays (u, v) that the discrete operator reads."""
+        return self.u.values, self.v.values
+
 
 def integrate(grid: RadialGrid, samples) -> float:
     """Quadrature of a node-sampled function over R^3 (radial measure)."""
@@ -177,9 +182,14 @@ def dilate(p: Profile, t: float) -> Profile:
         raise NonpositiveDilation(f"t={t}")
     if t == 1.0:
         return p
-    vals = np.interp(p.grid.r / t, p.grid.r, p.values, right=0.0)
+    return Profile(p.grid, dilate_values(p.grid, p.values, t))
+
+
+def dilate_values(grid: RadialGrid, values: np.ndarray, t: float) -> np.ndarray:
+    """`dilate` on a raw node array: a new array, with t > 0 not checked."""
+    vals = np.interp(grid.r / t, grid.r, values, right=0.0)
     vals[-1] = 0.0
-    return Profile(p.grid, vals)
+    return vals
 
 
 def rearrange(p: Profile) -> Profile:
@@ -221,10 +231,12 @@ def rearrange(p: Profile) -> Profile:
 # persistence: CSV with 17-significant-digit floats, one node per row
 
 def _write_columns(path, header: str, *columns) -> None:
+    # one `%` over Python floats formats as np.savetxt's "%.17g" rows do;
     # newline="" keeps the CRLF row ends byte-exact on every platform
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    body = row * len(columns[0]) % tuple(np.column_stack(columns).ravel().tolist())
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
-                   header=header, comments="", newline="\r\n")
+        fh.write(header + "\r\n" + body)
 
 
 def write_profile_csv(p: Profile, path) -> None:

@@ -1,9 +1,11 @@
 """Radial ground state of the single equation −Δw + w = f(w) on ℝ³.
 
-The scalar problem is the coupled one at v = 0: `solve_scalar` runs the
-pipeline of `nlsground.coupled` on (w, 0) with g = f and β = 0.  One
-round of the descent on the projected action Φ finds the basin; the
-dilation onto the Pohozaev manifold and the damped Newton iteration of
+The scalar problem is the coupled one at v = 0 and β = 0, with the absent
+component dropped: `solve_scalar` runs the pipeline of
+`nlsground.coupled` on the one node array (w,), so each step does half
+the coupled work and Newton solves a tridiagonal system.  One round of
+the descent on the projected action Φ finds the basin; the dilation onto
+the Pohozaev manifold and the damped Newton iteration of
 `nlsground.energy.newton` then reach the grid's discrete critical point.
 
 `shoot` is the independent RK4 oracle: it integrates
@@ -21,8 +23,8 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
 
 from . import coupled
-from .energy import (EnergyParams, energy_I, morse_index, newton,
-                     project_pohozaev, residuals)
+from .energy import (EnergyParams, _project, energy_I, morse_index, newton,
+                     residuals)
 from .errors import (Blowup, BracketFailure, NoConvergence,
                      NonpositiveAmplitude)
 from .grid import Profile, RadialGrid, State
@@ -193,21 +195,20 @@ def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig) -> float:
 
 def _newton_polish(grid: RadialGrid, vals: np.ndarray,
                    params: EnergyParams) -> np.ndarray:
-    """The coupled Newton on (w, 0) with β = 0; returns the polished w."""
-    u, _ = newton(grid, vals, np.zeros(grid.N + 1), params)
-    return u
+    """The shared Newton on (w,); returns the polished w."""
+    (w,) = newton(grid, (vals,), params)
+    return w
 
 
 def _start(grid: RadialGrid, params: EnergyParams) -> np.ndarray:
-    """A·e^{−r²/2} with the ladder's A of least Φ on the pair (·, 0).
+    """A·e^{−r²/2} with the ladder's A of least Φ.
 
     The first A with W > 0 sits at the edge of the cone, where the descent
     runs off along the dilation ray on coarse grids.
     """
     bump = np.exp(-0.5 * grid.r ** 2)
     bump[-1] = 0.0
-    zero = np.zeros(grid.N + 1)
-    phi, amp = min((coupled._phi_value(*coupled._terms(grid, a * bump, zero,
+    phi, amp = min((coupled._phi_value(*coupled._terms(grid, (a * bump,),
                                                        params)), a)
                    for a in LADDER)
     if phi == math.inf:
@@ -225,12 +226,11 @@ def solve_scalar(nl: Nonlinearity, grid: RadialGrid) -> ScalarGroundState:
     O(h²), while index 1 holds on every grid.
     """
     params = EnergyParams(nl, nl, 0.0)
-    zero = Profile.zero(grid)
-    start = State(Profile(grid, _start(grid, params)), zero)
     # through the module object, so the tracer's rebinding of it is seen
-    state, _, _ = coupled._descend(start, params, coupled.ROUND)
-    projected, _ = project_pohozaev(state, params)
-    vals = _newton_polish(grid, projected.u.values, params)
+    ys, _, _ = coupled._descend(grid, (_start(grid, params),), params,
+                                coupled.ROUND)
+    (projected,), _ = _project(grid, ys, params)
+    vals = _newton_polish(grid, projected, params)
     # a large w(0) (high power) means a core only a few h wide, which the
     # grid under-resolves; name both so the cause is visible
     where = f"(w(0)={vals[0]:.4g}, h={grid.h:g})"
@@ -238,11 +238,11 @@ def solve_scalar(nl: Nonlinearity, grid: RadialGrid) -> ScalarGroundState:
         raise NoConvergence(f"polished profile lost positivity {where}")
     if np.any(np.diff(vals) > 1e-12 * float(vals[0])):
         raise NoConvergence(f"polished profile lost monotonicity {where}")
-    state = State(Profile(grid, vals), zero)
+    state = State(Profile(grid, vals), Profile.zero(grid))
     res_u, _ = residuals(state, params)
     if not res_u < 1e-6:
         raise NoConvergence(f"scalar residual {res_u:.3e} >= 1e-6 {where}")
-    index = morse_index(state, params)
+    index = morse_index(grid, (vals,), params)
     if index != 1:
         raise NoConvergence(f"polished profile has Morse index {index}, "
                             f"not 1 {where}")

@@ -61,12 +61,12 @@ def test_criterion_02_gradient_correctness(capsys):
         u = gaussian_bumps(g, rng, 2)
         v = gaussian_bumps(g, rng, 2)
         st = State(Profile(g, u), Profile(g, v))
-        _, W = coupled_mod._terms(g, st.u.values, st.v.values, params)
+        _, W = coupled_mod._terms(g, st.values, params)
         scale = 1.0
         while W <= 0.01:                 # keep the reduced objective defined
             scale *= 1.5
             st = State(Profile(g, u * scale), Profile(g, v * scale))
-            _, W = coupled_mod._terms(g, st.u.values, st.v.values, params)
+            _, W = coupled_mod._terms(g, st.values, params)
         du = gaussian_bumps(g, rng, 2) - gaussian_bumps(g, rng, 2)
         dv = gaussian_bumps(g, rng, 2) - gaussian_bumps(g, rng, 2)
         nrm = math.sqrt(integrate(g, du * du + dv * dv))
@@ -83,14 +83,13 @@ def test_criterion_02_gradient_correctness(capsys):
               - energy_I(shifted(-eps), params)) / (2 * eps)
         worst_I = max(worst_I, abs(fd - inner) / max(1.0, abs(inner)))
 
-        K, W = coupled_mod._terms(g, st.u.values, st.v.values, params)
-        gu, gv = coupled_mod._phi_gradient(g, st.u.values, st.v.values,
-                                           params, K, W)
+        K, W = coupled_mod._terms(g, st.values, params)
+        gu, gv = coupled_mod._phi_gradient(g, st.values, params, K, W)
         inner_phi = integrate(g, gu * du) + integrate(g, gv * dv)
 
         def phi_of(s):
             sh = shifted(s)
-            K, W = coupled_mod._terms(g, sh.u.values, sh.v.values, params)
+            K, W = coupled_mod._terms(g, sh.values, params)
             return coupled_mod._phi_value(K, W)
 
         fd_phi = (phi_of(eps) - phi_of(-eps)) / (2 * eps)

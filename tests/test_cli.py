@@ -127,8 +127,8 @@ output.dir = {tmp_path / 'out'}
 
 
 def test_coupled_non_finite_gradient_exits_2(monkeypatch, tmp_path):
-    def poisoned(grid, u, v, params, K, W):
-        return np.full(grid.N + 1, np.nan), np.full(grid.N + 1, np.nan)
+    def poisoned(grid, ys, params, K, W):
+        return tuple(np.full(grid.N + 1, np.nan) for _ in ys)
 
     monkeypatch.setattr(coupled_mod, "_phi_gradient", poisoned)
     conf = write_conf(tmp_path / "c.conf", f"""
@@ -330,6 +330,17 @@ def test_config_error_exit(tmp_path):
     code, _, err = run_cli("scalar", conf)
     assert code == 1
     assert "config error:" in err
+
+
+def test_unallocatable_grid_exits_1(tmp_path):
+    # 10**15 nodes exceed any address space, so nothing is allocated
+    conf = write_conf(tmp_path / "huge.conf",
+                      "f.family = cubic\ngrid.N = 1000000000000000\n")
+    proc = subprocess.run([sys.executable, "-m", "nlsground", "scalar", conf],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: grid: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_module_entrypoint(tmp_path):

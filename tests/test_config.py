@@ -110,6 +110,10 @@ def test_distinct_g_family():
                  "^f: int too large", id="f.terms-int-past-float"),
     pytest.param(f"f.family = cubic\ngrid.R = 1{'0' * 400}\n",
                  "^grid: int too large", id="grid.R-int-past-float"),
+    # 10**15 nodes exceed any address space: the allocation fails before
+    # anything is allocated, and that is a config error too
+    pytest.param("f.family = cubic\ngrid.N = 1000000000000000\n",
+                 "^grid: Unable to allocate", id="grid.N-unallocatable"),
     ("f.family cubic\n", "key = value"),
     (" = 3\nf.family = cubic\n", "empty key"),
     ("f.family = @!\n", "cannot parse"),

@@ -151,8 +151,8 @@ def _count_rounds(monkeypatch):
     rounds = []
     real = coupled_mod._descend
 
-    def counted(state, params, max_iters):
-        out = real(state, params, max_iters)
+    def counted(*args):
+        out = real(*args)
         rounds.append(out[1])
         return out
 
@@ -234,14 +234,15 @@ def test_returned_state_has_morse_index_one(monkeypatch, grid, cubic_nl,
     params = EnergyParams(cubic_nl, cubic_nl, beta)
     indices = []
 
-    def spy(state, params):
-        index = energy_mod.morse_index(state, params)
-        indices.append((state, index))
+    def spy(grid, ys, params):
+        index = energy_mod.morse_index(grid, ys, params)
+        indices.append((ys, index))
         return index
 
     monkeypatch.setattr(coupled_mod, "morse_index", spy)
     gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
-    assert [i for st, i in indices if st is gs.state] == [1]
+    assert [i for (u, v), i in indices
+            if u is gs.state.u.values and v is gs.state.v.values] == [1]
 
 
 def test_returned_state_is_one_certify_accepted(monkeypatch, grid, cubic_nl,
@@ -281,15 +282,16 @@ def test_descend_rejects_overflowing_potential(monkeypatch, cubic_nl):
     monkeypatch.setattr(energy_mod, "eval_F", overflowing)
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     half = Profile(g, 0.5 * w)
-    st, _, _ = coupled_mod._descend(State(half, half), params,
-                                    coupled_mod.ROUND)
+    (u, v), _, _ = coupled_mod._descend(g, (half.values, half.values), params,
+                                        coupled_mod.ROUND)
+    st = State(Profile(g, u), Profile(g, v))
     assert math.isfinite(energy_report(st, params).W)
 
 
 def test_non_finite_gradient_is_a_numerical_error(monkeypatch, grid, cubic_nl,
                                                   cubic_scalar):
-    def poisoned(grid, u, v, params, K, W):
-        return np.full(grid.N + 1, np.nan), np.full(grid.N + 1, np.nan)
+    def poisoned(grid, ys, params, K, W):
+        return tuple(np.full(grid.N + 1, np.nan) for _ in ys)
 
     monkeypatch.setattr(coupled_mod, "_phi_gradient", poisoned)
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
@@ -325,7 +327,7 @@ def test_precondition_matches_dense_and_banded_references():
     for _ in range(3):
         gu, gv = rng.standard_normal((2, n))
         gu[0] = gv[0] = gu[-1] = gv[-1] = 0.0
-        du, dv = coupled_mod._precondition(factors, gu.copy(), gv.copy())
+        du, dv = coupled_mod._precondition(factors, (gu.copy(), gv.copy()))
         banded = solveh_banded(ab, w[:, None] * np.stack((gu, gv), 1)[1:-1])
         for d, rhs, col in ((du, gu, 0), (dv, gv, 1)):
             ref = np.linalg.solve(A, rhs)
@@ -380,14 +382,14 @@ def test_handoff_without_projection_keeps_the_embedding(grid):
     assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
     assert gs.m == pytest.approx(13.170089128943363, rel=1e-12)
     certify(gs, params)
-    assert energy_mod.morse_index(gs.state, params) == 1
+    assert energy_mod.morse_index(grid, gs.state.values, params) == 1
 
 
 def test_descend_rejects_infeasible_state(grid, cubic_nl):
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     tiny = Profile.from_callable(grid, lambda r: 0.1 * np.exp(-r ** 2 / 2.0))
     with pytest.raises(NoProjection):
-        coupled_mod._descend(State(tiny, tiny), params,
+        coupled_mod._descend(grid, (tiny.values, tiny.values), params,
                              SolveConfig().max_iters)
 
 
@@ -486,7 +488,7 @@ def test_coupled_state_is_certified_or_fails_cleanly(f, g, beta, N):
     except NumericalError:
         return
     certify(gs, params)
-    assert energy_mod.morse_index(gs.state, params) == 1
+    assert energy_mod.morse_index(grid, gs.state.values, params) == 1
     bound = _embedding_bound(params, *baselines)
     assert gs.m <= bound + coupled_mod.TIE_REL * (1.0 + abs(bound))
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 import nlsground.coupled as coupled_mod
@@ -134,7 +136,7 @@ def test_unusable_dilation_lies_off_the_cone():
     with np.errstate(over="ignore", invalid="ignore"):
         u = Profile.from_callable(g, lambda r: 128.0 * np.exp(-r ** 2 / 2.0))
         st = State(u, Profile.zero(g))
-        _, W = energy_mod._terms(g, st.u.values, st.v.values, params)
+        _, W = energy_mod._terms(g, st.values, params)
         assert 0.0 < W < math.inf
         with pytest.raises(NoProjection, match="off the cone"):
             projected_energy(st, params)
@@ -149,7 +151,9 @@ def test_projection_that_loses_the_cone_raises_no_projection():
     nl = power_sum([(0.6373, 4.2018), (0.6741, 3.3798)])
     g = RadialGrid(R=20.0, N=400)
     params = EnergyParams(nl, nl, 0.0)
-    state, _, _ = coupled_mod._descend(_gauss_state(g, amp=2.0), params, 50)
+    (u, v), _, _ = coupled_mod._descend(g, _gauss_state(g, amp=2.0).values,
+                                        params, 50)
+    state = State(Profile(g, u), Profile(g, v))
     assert state.u.values[0] > 50.0
     assert projected_energy(state, params) < math.inf     # starts with W > 0
     with pytest.raises(NoProjection):
@@ -209,7 +213,7 @@ def _newton_reevaluating(grid, u, v, params):
     lap[4, 0:n - 2:2] = lap[4, 1:n - 2:2] = lower
 
     def residual(uf, vf):
-        ru, rv = energy_mod._variation(grid, uf, vf, params)
+        ru, rv = energy_mod._variation(grid, (uf, vf), params)
         res = np.empty(n)
         res[0::2] = ru[:N]
         res[1::2] = rv[:N]
@@ -249,9 +253,9 @@ def test_newton_evaluates_each_point_once(monkeypatch, grid, cubic_nl,
     # and one per line-search trial, with iterates bitwise unchanged
     params = EnergyParams(cubic_nl, cubic_nl, 1.01)
     w = cubic_scalar.profile
-    state, _, _ = coupled_mod._descend(State(w, w), params, coupled_mod.ROUND)
-    state, _ = project_pohozaev(state, params)
-    u0, v0 = state.u.values, state.v.values
+    ys, _, _ = coupled_mod._descend(grid, (w.values, w.values), params,
+                                    coupled_mod.ROUND)
+    (u0, v0), _ = energy_mod._project(grid, ys, params)
     want_u, want_v, trials = _newton_reevaluating(grid, u0, v0, params)
     assert trials >= 2
     calls = []
@@ -262,7 +266,7 @@ def test_newton_evaluates_each_point_once(monkeypatch, grid, cubic_nl,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(energy_mod, "_variation", counted)
-    u, v = energy_mod.newton(grid, u0, v0, params)
+    u, v = energy_mod.newton(grid, (u0, v0), params)
     assert len(calls) == 1 + trials
     assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
 
@@ -334,8 +338,9 @@ def test_morse_index_matches_dense_eigenvalues():
         hessian, mass = _dense_hessian(st, params)
         scale = 1.0 / np.sqrt(np.diag(mass))
         eig = np.linalg.eigvalsh(scale[:, None] * hessian * scale[None, :])
-        assert morse_index(st, params) == int(np.sum(eig < -INDEX_TOL))
-        counts.add(morse_index(st, params))
+        index = morse_index(g, st.values, params)
+        assert index == int(np.sum(eig < -INDEX_TOL))
+        counts.add(index)
     assert len(counts) >= 4     # the draws exercise several indices
 
 
@@ -348,10 +353,11 @@ def test_cubic_morse_index_table(grid, cubic_scalar, beta, scalar_index,
     # vector state (w, w)/sqrt(1 + β) gains it
     params = EnergyParams(cubic(), cubic(), beta)
     w = cubic_scalar.profile
-    assert morse_index(State(w, Profile.zero(grid)), params) == scalar_index
+    zero = np.zeros(grid.N + 1)
+    assert morse_index(grid, (w.values, zero), params) == scalar_index
     if symmetric_index is not None:
-        sym = Profile(grid, w.values / math.sqrt(1.0 + beta))
-        assert morse_index(State(sym, sym), params) == symmetric_index
+        sym = w.values / math.sqrt(1.0 + beta)
+        assert morse_index(grid, (sym, sym), params) == symmetric_index
 
 
 def test_zero_mode_at_beta_one_is_not_counted(monkeypatch, grid, cubic_nl,
@@ -368,8 +374,41 @@ def test_zero_mode_at_beta_one_is_not_counted(monkeypatch, grid, cubic_nl,
                 State(Profile(grid, scale * st.u.values),
                       Profile(grid, scale * st.v.values)), params)
             certify(moved, params)
-            assert morse_index(moved, params) == 1
+            assert morse_index(grid, moved.values, params) == 1
             with monkeypatch.context() as m:
                 m.setattr(energy_mod, "INDEX_TOL", 0.0)
-                strict.add(morse_index(moved, params))
+                strict.add(morse_index(grid, moved.values, params))
     assert strict == {1, 2}     # the zero mode reads on both sides of 0
+
+
+_BUMP = st.tuples(st.floats(0.5, 8.0), st.floats(0.5, 3.0), st.floats(0.0, 8.0))
+_CATALOG = (cubic(), log_enhanced(), power_sum([(1.0, 2.0), (0.5, 3.5)]))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(bumps=st.lists(_BUMP, min_size=1, max_size=2),
+       which=st.integers(0, len(_CATALOG) - 1), N=st.sampled_from([200, 400]))
+@example(bumps=[(1.0, 1.5, 3.0)], which=0, N=400)     # index 1
+@example(bumps=[(2.0, 1.5, 3.0)], which=0, N=400)     # index 3
+@example(bumps=[(8.0, 3.0, 6.0)], which=2, N=200)     # index 44
+def test_one_component_operator_is_the_pair_at_v_zero(bumps, which, N):
+    # the operator on (u,) drops the absent component's terms; at β = 0 the
+    # pair (u, 0) adds only exact zeros, so every value agrees bitwise
+    g = RadialGrid(R=20.0, N=N)
+    u = np.zeros(N + 1)
+    for amp, width, center in bumps:
+        u += amp * np.exp(-((g.r - center) ** 2) / (2.0 * width * width))
+    u[-1] = 0.0
+    pair = (u, np.zeros(N + 1))
+    nl = _CATALOG[which]
+    params = EnergyParams(nl, nl, 0.0)
+    K, W = energy_mod._terms(g, (u,), params)
+    assert (K, W) == energy_mod._terms(g, pair, params)
+    (ru,) = energy_mod._variation(g, (u,), params)
+    assert np.array_equal(ru, energy_mod._variation(g, pair, params)[0])
+    if coupled_mod._phi_value(K, W) < math.inf:
+        (gu,) = coupled_mod._phi_gradient(g, (u,), params, K, W)
+        assert np.array_equal(
+            gu, coupled_mod._phi_gradient(g, pair, params, K, W)[0])
+    index = morse_index(g, (u,), params)
+    assert index == morse_index(g, pair, params)

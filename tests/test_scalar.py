@@ -5,7 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlsground.energy import EnergyParams, morse_index, pohozaev_J
+import nlsground.coupled as coupled_mod
+import nlsground.energy as energy_mod
+import nlsground.scalar as scalar_mod
+from nlsground.energy import (EnergyParams, energy_I, morse_index, pohozaev_J,
+                              project_pohozaev)
 from nlsground.errors import (Blowup, BracketFailure, NoConvergence,
                               NonpositiveAmplitude, NumericalError)
 from nlsground.grid import Profile, RadialGrid, State, kinetic
@@ -156,4 +160,51 @@ def test_scalar_state_is_a_ground_state_or_fails_cleanly(terms, N):
     assert np.all(np.diff(vals) <= 1e-12 * vals[0])
     assert gs.residual < 1e-6
     state = State(gs.profile, Profile.zero(g))
-    assert morse_index(state, EnergyParams(nl, nl, 0.0)) == 1
+    assert morse_index(g, state.values, EnergyParams(nl, nl, 0.0)) == 1
+
+
+_PAIR_CASES = pytest.mark.parametrize(
+    "nl", [cubic(), log_enhanced(), power_sum([(1.0, 2.0), (0.5, 3.5)])],
+    ids=["cubic", "log_enhanced", "power_sum"])
+
+
+def _pair_pipeline(nl, g):
+    """The reference: the two-component pipeline on (start, 0) at β = 0,
+    start, round, projection and Newton, as one `solve_scalar` on (w,)
+    runs them.  Returns the polished (w, S) and the projected round."""
+    params = EnergyParams(nl, nl, 0.0)
+    zero = np.zeros(g.N + 1)
+    (u, v), _, _ = coupled_mod._descend(g, (scalar_mod._start(g, params), zero),
+                                        params, coupled_mod.ROUND)
+    state, _ = project_pohozaev(State(Profile(g, u), Profile(g, v)), params)
+    u, v = energy_mod.newton(g, state.values, params)
+    return u, energy_I(State(Profile(g, u), Profile(g, v)), params), state
+
+
+@_PAIR_CASES
+def test_scalar_solve_matches_the_pair_pipeline(grid, nl):
+    w_ref, s_ref, projected = _pair_pipeline(nl, grid)
+    gs = solve_scalar(nl, grid)
+    w = gs.profile.values
+    assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+    assert abs(gs.action - s_ref) <= 1e-12 * abs(s_ref)
+    # up to the polish the one-component arithmetic is the pair's, bitwise
+    params = EnergyParams(nl, nl, 0.0)
+    ys, _, _ = coupled_mod._descend(grid, (scalar_mod._start(grid, params),),
+                                    params, coupled_mod.ROUND)
+    (one,), _ = energy_mod._project(grid, ys, params)
+    assert np.array_equal(one, projected.u.values)
+
+
+def test_scalar_newton_solves_tridiagonal_systems(monkeypatch, grid, cubic_nl):
+    shapes = []
+    real = energy_mod.solve_banded
+
+    def spy(l_and_u, ab, b, *args, **kwargs):
+        shapes.append((tuple(l_and_u), ab.shape, b.shape))
+        return real(l_and_u, ab, b, *args, **kwargs)
+
+    monkeypatch.setattr(energy_mod, "solve_banded", spy)
+    solve_scalar(cubic_nl, grid)
+    assert shapes
+    assert set(shapes) == {((1, 1), (3, grid.N), (grid.N,))}
