@@ -23,11 +23,14 @@ the grid's scale along them.  A start whose handoffs polish twice in a
 row to one action (a saddle, or a state the grid is too coarse to
 certify) ends there with no candidate, as does one whose round ends in
 Armijo failure or whose `max_iters` runs out.  The two scalar embeddings
-pass the same gate, a start that raises drops only itself, and the
-lesser projected action Φ_h of the embeddings bounds the answer: a state
-above it is rejected.  Below the coupling threshold an embedding wins;
-above it, the state the descent reaches from (w_f, w_g).  The CLI judges
-states with `certify` and `morse_index` too.
+pass the same gate, but only when they can still win: the start runs
+first, and an embedding whose settled action lies above the best
+accepted state by more than TIE_REL is not judged.  A start that raises
+drops only itself, and the lesser projected action Φ_h of the embeddings
+bounds the answer: a state above it is rejected.  Below the coupling
+threshold an embedding wins; above it, the state the descent reaches
+from (w_f, w_g).  The CLI judges states with `certify` and `morse_index`
+too.
 `nlsground.scalar.solve_scalar` is one round of this on the one node
 array (w,): the descent, the projection and the Newton polish take one
 or two components, and the coupling is present only with two.
@@ -271,30 +274,46 @@ def _settle_on_manifold(state: State, params: EnergyParams) -> State:
     return project_pohozaev(state, params)[0]
 
 
-def _judge(state: State, params: EnergyParams, iterations: int) -> GroundState:
-    """Settle, `certify` and `classify` a state; raises what they raise."""
+def _judge(state: State, params: EnergyParams, iterations: int,
+           ceiling: float = math.inf) -> GroundState | None:
+    """Settle, `certify` and `classify` a state; raises what they raise.
+
+    A settled state whose action lies above `ceiling` is returned as None,
+    before `certify` runs.
+    """
     state = _settle_on_manifold(state, params)
+    if ceiling < math.inf and energy_I(state, params) > ceiling:
+        return None
     rep = certify(state, params)
     return GroundState(state=state, m=rep.I, kind=classify(state),
                        residuals=(rep.residual_u, rep.residual_v),
                        iterations=iterations)
 
 
-def _candidate(state: State, params: EnergyParams, iterations: int):
+def _candidate(state: State, params: EnergyParams, iterations: int,
+               ceiling: float = math.inf):
     """The one accept gate: `_judge`, then Morse index 1.
 
     Returns (GroundState, "") or (None, the rejection: the certificate
-    clause, the projection error or `Morse index k`).
+    clause, the projection error, `Morse index k`, or `cannot win` for a
+    settled action above `ceiling`).
     """
     try:
-        gs = _judge(state, params, iterations)
+        gs = _judge(state, params, iterations, ceiling)
     except (NoProjection, CertificationFailure) as exc:
         return None, str(exc)
+    if gs is None:
+        return None, "cannot win"
     # on the manifold the dilation direction is negative: a saddle has ≥ 2
     index = morse_index(gs.state.grid, gs.state.values, params)
     if index != 1:
         return None, f"Morse index {index}"
     return gs, ""
+
+
+def _tie_limit(m: float) -> float:
+    """The largest action that ties with m: within TIE_REL·(1 + |m|)."""
+    return m + TIE_REL * (1.0 + abs(m))
 
 
 def _run_start(init: State, params: EnergyParams, max_iters: int):
@@ -346,11 +365,14 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
                   ) -> GroundState:
     """Lowest-energy state among the scalar embeddings and the descent run.
 
-    `_candidate` judges the two embeddings and the start's handoffs
-    alike; a start that raises drops only itself.  The embeddings lie on
-    rays that cross the manifold, so the lesser of their Φ_h bounds the
-    ground level: a state above it (beyond TIE_REL) is rejected too.  When
-    no run gives a state one `NoConvergence` names the grid and each run's
+    `_candidate` judges the start's handoffs and then the two embeddings
+    alike; a start that raises drops only itself.  An embedding whose
+    settled action lies above the best accepted state so far, beyond
+    TIE_REL, can neither win nor tie and is not judged, so the answer is
+    the one a judgement of every run gives.  The embeddings lie on rays
+    that cross the manifold, so the lesser of their Φ_h bounds the ground
+    level: a state above it (beyond TIE_REL) is rejected too.  When no run
+    gives a state one `NoConvergence` names the grid and each run's
     reason.  β must be positive and finite; `baselines` lets callers (the
     β sweep) reuse the scalar solves, which do not depend on β.
     """
@@ -361,28 +383,42 @@ def solve_coupled(params: EnergyParams, grid: RadialGrid,
     zero = Profile.zero(grid)
     embeddings = {"scalar_u": State(base_u.profile, zero),
                   "scalar_v": State(zero, base_v.profile)}
-    runs = [(name, _candidate(e, params, 0)) for name, e in embeddings.items()]
+    bound = min(projected_energy(e, params) for e in embeddings.values())
+    runs = dict.fromkeys(embeddings)    # the order the reasons are listed in
+    best = math.inf
+
+    def enter(name, out):
+        nonlocal best
+        gs, _ = out
+        if gs is not None and gs.m > _tie_limit(bound):
+            out = None, f"m={gs.m:.10g} above the embeddings' bound {bound:.10g}"
+        elif gs is not None:
+            best = min(best, gs.m)
+        runs[name] = out
+
     for name, init in _initial_states(base_u, base_v):
         try:
-            runs.append((name, _run_start(init, params, cfg.max_iters)))
+            enter(name, _run_start(init, params, cfg.max_iters))
         except (NumericalError, ZeroState) as exc:
-            runs.append((name, (None, str(exc))))
-    bound = min(projected_energy(e, params) for e in embeddings.values())
-    for i, (name, (gs, _)) in enumerate(runs):
-        if gs is not None and gs.m > bound + TIE_REL * (1.0 + abs(bound)):
-            runs[i] = name, (None, f"m={gs.m:.10g} above the embeddings' "
-                                   f"bound {bound:.10g}")
-    candidates = [gs for _, (gs, _) in runs if gs is not None]
+            enter(name, (None, str(exc)))
+    # an embedding whose settled action lies above the best state so far,
+    # beyond TIE_REL, can neither win nor tie: it is not judged
+    for name, e in embeddings.items():
+        enter(name, _candidate(e, params, 0, _tie_limit(best)))
+    candidates = [gs for gs, _ in runs.values() if gs is not None]
     if not candidates:
         raise NoConvergence(
             f"no certified state of Morse index 1 within the embeddings' bound "
             f"on N={grid.N}, h={grid.h:g} (under-resolved? refine N): "
-            + "; ".join(f"{name}: {reason}" for name, (_, reason) in runs))
+            + "; ".join(f"{name}: {reason}" for name, (_, reason) in runs.items()))
 
     # deterministic reduction: energies within TIE_REL of the least tie (runs
     # that reach one state differ by roundoff); a tie prefers a vector state,
-    # then scalar_u over its mirror image scalar_v, then the smaller residual
+    # then scalar_u over its mirror image scalar_v, then fewer iterations
+    # (an embedding over the start that polished to it), then the smaller
+    # residual
     m_min = min(c.m for c in candidates)
-    tied = [c for c in candidates if c.m <= m_min + TIE_REL * (1.0 + abs(m_min))]
+    tied = [c for c in candidates if c.m <= _tie_limit(m_min)]
     return min(tied, key=lambda c: (c.kind is not Kind.VECTOR,
-                                    c.kind is Kind.SCALAR_V, max(c.residuals)))
+                                    c.kind is Kind.SCALAR_V, c.iterations,
+                                    max(c.residuals)))

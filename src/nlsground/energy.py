@@ -20,7 +20,9 @@ the `morse_index` of the action's Hessian.  It reads a state as a tuple of
 one or two node arrays: (u, v) for the coupled system, (w,) for the scalar
 equation, which is the coupled one at v = 0 and β = 0 with the absent
 component's terms dropped.  The β·u²v² coupling is present only when there
-are two.  `nlsground.coupled.certify` judges its states.
+are two.  Both linear-algebra kernels hand LAPACK a band in its own
+Fortran storage: `gbsv` for the coupled Newton step and `pbtrf` for the
+index.  `nlsground.coupled.certify` judges its states.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv, dpbtrf
 
 from .errors import NoProjection, ZeroState
 from .grid import (Profile, State, dilate_values, flux_laplacian_interior,
@@ -76,7 +79,7 @@ class EnergyReport:
 def _terms(grid, ys, params: EnergyParams):
     """(K, W) of node arrays (u, v) or (w,): Dirichlet energy, well depth
     P − M/2."""
-    K = sum(float(grid.flux @ np.square(np.diff(y))) for y in ys)
+    K = sum(float(grid.flux @ np.square(y[1:] - y[:-1])) for y in ys)
     u = ys[0]
     M, P = u * u, eval_F(params.f, u)
     if len(ys) == 2:
@@ -139,53 +142,87 @@ def morse_index(grid, ys, params: EnergyParams) -> int:
     (the descent's space): the flux between nodes 0 and 1 drops out, and
     node 0 has no weight to fold into node 1 (w_0 = 0 at r = 0).  Per node
     the Hessian H is the `_laplacian_band` stiffness plus
-    diag(w(1 − f′(u) − βv²)), the same for v, and the cross term −2βwuv.
-    The eigenvalues are those of H y = λ W y against the mass matrix
-    W = diag(w), which approximate the linearised operator's; by Sylvester
-    those below −INDEX_TOL are the negative pivots of the block LDLᵀ
-    recurrence of H + INDEX_TOL·W over the node blocks, 1×1 or 2×2 by the
-    component count.  A zero mode (the circle of cubic vector states at
-    β = 1) is not counted.  A ground state has index 1.
+    diag(w(1 − f′(u) − βv²)), the same for v, and the cross term −2βwuv;
+    interleaved as in `newton` it is a band of half-width c, the component
+    count.  The eigenvalues are those of H y = λ W y against the mass
+    matrix W = diag(w), which approximate the linearised operator's; by
+    Sylvester those below −INDEX_TOL are the non-positive pivots of
+    H + INDEX_TOL·W, which `_count_nonpositive_pivots` counts with LAPACK
+    `pbtrf`.  A zero mode (the circle of cubic vector states at β = 1) is
+    not counted.  A ground state has index 1.
     """
-    N, beta = grid.N, params.beta
+    N, c, beta = grid.N, len(ys), params.beta
     w = grid.w[1:N]
     diag, upper, _ = _laplacian_band(grid)
     stiff = w * diag[1:]
     stiff[0] = -w[0] * upper[1]             # the tie drops the flux to node 0
-    # node i couples to node i−1 by e·I with e = −flux_{i−1}; node 1 has none
-    e2 = np.zeros(N - 1)
-    e2[1:] = np.square(w[:-1] * upper[1:])
+    n = c * (N - 1)
+    # pbtrf's lower band storage, Fortran-ordered: A[j + k, j] is row k
+    band = np.zeros((c + 1, n), order="F")
+    band[c, :n - c] = np.repeat(w[:-1] * upper[1:], c)  # node i to node i+1
     u = ys[0][1:N]
+    if c == 1:
+        band[0] = stiff + w * (1.0 + INDEX_TOL - eval_df(params.f, u))
+    else:
+        v = ys[1][1:N]
+        band[0, 0::2] = stiff + w * (1.0 + INDEX_TOL - eval_df(params.f, u)
+                                     - beta * v * v)
+        band[0, 1::2] = stiff + w * (1.0 + INDEX_TOL - eval_df(params.g, v)
+                                     - beta * u * u)
+        band[1, 0::2] = -2.0 * beta * w * u * v     # u to v at one node
+    return _count_nonpositive_pivots(band)
+
+
+def _count_nonpositive_pivots(band) -> int:
+    """Non-positive pivots of a symmetric band matrix, each counted once.
+
+    `band` is the lower triangle in LAPACK's Fortran band storage (row k
+    the k-th subdiagonal, half-width kd = rows − 1); it is overwritten.
+    pbtrf's Cholesky stops at the first pivot d ≤ 0 and leaves the Schur
+    complement of the rows before it in the trailing band.  The pivot is
+    eliminated here, which updates at most the next kd×kd block: d < 0 on
+    its own; d = 0 together with the first row m it couples to, a 2×2
+    pivot [[0, s], [s, a]] with one negative eigenvalue (as the −∞ pivot
+    that follows a zero one in an LDLᵀ recurrence), or on its own when it
+    couples to none.  pbtrf then restarts on the trailing band.  By
+    Sylvester's law the count is that of the eigenvalues ≤ 0.
+    """
+    kd = band.shape[0] - 1
     count = 0
-    # memoryviews hand the loops Python floats without list copies
-    if len(ys) == 1:
-        d = 1.0
-        pivots = stiff + w * (1.0 + INDEX_TOL - eval_df(params.f, u))
-        for a, s in zip(memoryview(pivots), memoryview(e2)):
-            d = a - s / d                   # D_i = A_i − e² / D_{i−1}
-            if d < 0.0:
-                count += 1
-        return count
-    v = ys[1][1:N]
-    pu = w * (1.0 + INDEX_TOL - eval_df(params.f, u) - beta * v * v)
-    pv = w * (1.0 + INDEX_TOL - eval_df(params.g, v) - beta * u * u)
-    pc = -2.0 * beta * w * u * v
-    da = db = dc = 0.0
-    det = 1.0
-    blocks = zip(memoryview(stiff + pu), memoryview(stiff + pv),
-                 memoryview(pc), memoryview(e2))
-    for a, b, c, s in blocks:
-        # D_i = A_i − e² D_{i−1}^{−1}, with D^{−1} = [[b, −c], [−c, a]] / det
-        s /= det
-        a -= s * db
-        b -= s * da
-        c += s * dc
-        det = a * b - c * c
-        if det < 0.0:
-            count += 1
-        elif a < 0.0:
-            count += 2
-        da, db, dc = a, b, c
+    while band.shape[1]:
+        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info == 0:
+            break
+        count += 1
+        band = band[:, info - 1:]           # the trailing Schur complement
+        n = band.shape[1]
+        size = min(2 * kd + 1, n)           # the rows the elimination reads
+        diags = band[:, :size].tolist()
+
+        def entry(r, q):
+            r, q = max(r, q), min(r, q)
+            return diags[r - q][q] if r - q <= kd and r < n else 0.0
+
+        d = diags[0][0]
+        m = next((k for k in range(1, min(kd + 1, n)) if diags[k][0] != 0.0), 0)
+        if d < 0.0:
+            piv, inv = (0,), ((1.0 / d,),)
+        elif m:
+            s, a = entry(m, 0), entry(m, m)
+            piv, inv = (0, m), ((-a / s / s, 1.0 / s), (1.0 / s, 0.0))
+        else:
+            piv, inv = (0,), ((0.0,),)
+        # the rows left, renumbered from 0, with the band entries they keep
+        rest = [r for r in range(size) if r not in piv]
+        rows = rest + list(range(size, size + kd))
+        head = np.zeros((kd + 1, len(rest)))
+        for i, r in enumerate(rest):
+            for k, q in enumerate(rows[i:i + kd + 1]):
+                head[k, i] = entry(q, r) - sum(
+                    entry(r, pa) * inv[a][b] * entry(q, pb)
+                    for a, pa in enumerate(piv) for b, pb in enumerate(piv))
+        band[:, len(piv):size] = head
+        band = band[:, len(piv):]
     return count
 
 
@@ -199,8 +236,11 @@ def newton(grid, ys, params: EnergyParams):
 
     The unknowns are nodes 0..N-1 of the c components, interleaved (unknown
     c·i + k is component k at node i) so that the Jacobian of `_variation`
-    is banded (c, c): pentadiagonal for (u, v), tridiagonal for (w,).  Node
-    N keeps the Dirichlet zero it comes with.  It runs to the roundoff
+    is banded (c, c): pentadiagonal for (u, v), tridiagonal for (w,).  The
+    pentadiagonal step is LAPACK `gbsv` on a band built in its own
+    Fortran-ordered storage, which f2py passes without a transposed copy;
+    the tridiagonal one is `solve_banded`, whose `gtsv` is faster there.
+    Node N keeps the Dirichlet zero it comes with.  It runs to the roundoff
     floor of the residual (the 1/h² stencil amplifies cancellation noise,
     so no fixed absolute target is safe); the caller certifies the result.
     Returns a tuple of the polished arrays.
@@ -209,13 +249,15 @@ def newton(grid, ys, params: EnergyParams):
     c = len(ys)
     n = c * N
     beta = params.beta
-    # the Laplacian part of the Jacobian does not change between steps
+    # the Laplacian part of the Jacobian does not change between steps;
+    # A[i, j] is row top + c + i − j, below gbsv's c rows of fill-in
+    top = 0 if c == 1 else c
     diag, upper, lower = _laplacian_band(grid)
-    lap = np.zeros((2 * c + 1, n))
+    lap = np.zeros((top + 2 * c + 1, n), order="C" if c == 1 else "F")
     for k in range(c):
-        lap[c, k::c] = diag             # A[ci+k, ci+k]
-        lap[0, c + k::c] = upper        # A[ci+k, c(i+1)+k]
-        lap[2 * c, k:n - c:c] = lower   # A[c(i+1)+k, ci+k]
+        lap[top + c, k::c] = diag               # A[ci+k, ci+k]
+        lap[top, c + k::c] = upper              # A[ci+k, c(i+1)+k]
+        lap[top + 2 * c, k:n - c:c] = lower     # A[c(i+1)+k, ci+k]
 
     def residual(trial):
         res = np.empty(n)
@@ -229,17 +271,21 @@ def newton(grid, ys, params: EnergyParams):
         ymax = max([float(np.max(np.abs(y))) for y in ys] + [1.0])
         if rn <= 1e-12 * ymax * math.sqrt(n):
             break
-        ab = lap.copy()
+        ab = lap.copy(order="K")
         jac = [1.0 - eval_df(nl, y[:N]) for y, nl in zip(ys, (params.f, params.g))]
-        if c == 2:
+        if c == 1:
+            ab[1] += jac[0]
+            step = solve_banded((1, 1), ab, res)
+        else:
             u, v = ys[0][:N], ys[1][:N]
-            jac = [jac[0] - beta * v ** 2, jac[1] - beta * u ** 2]
             cross = -2.0 * beta * u * v
-            ab[1, 1::2] = cross             # A[2i, 2i+1]
-            ab[3, 0:n - 1:2] = cross        # A[2i+1, 2i]
-        for k, d in enumerate(jac):
-            ab[c, k::c] += d
-        step = solve_banded((c, c), ab, res)
+            ab[top + 1, 1::2] = cross           # A[2i, 2i+1]
+            ab[top + 3, 0:n - 1:2] = cross      # A[2i+1, 2i]
+            ab[top + 2, 0::2] += jac[0] - beta * v ** 2
+            ab[top + 2, 1::2] += jac[1] - beta * u ** 2
+            _, _, step, info = dgbsv(2, 2, ab, res, overwrite_ab=1)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
         lam = 1.0
         for _ in range(30):
             trial = tuple(y.copy() for y in ys)

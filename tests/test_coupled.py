@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -262,6 +263,133 @@ def test_returned_state_is_one_certify_accepted(monkeypatch, grid, cubic_nl,
                        baselines=(cubic_scalar, cubic_scalar))
     assert gs.kind is Kind.SCALAR_U
     assert any(gs.state is st for st in accepted)
+
+
+def _reference_solve(params, grid, baselines):
+    """`solve_coupled`'s reduction over all three runs, each one judged.
+
+    Both embeddings and the start go through `_candidate` in the order the
+    failure lists them; the bound and the tie rule are `solve_coupled`'s.
+    """
+    base_u, base_v = baselines
+    zero = Profile.zero(grid)
+    embeddings = {"scalar_u": State(base_u.profile, zero),
+                  "scalar_v": State(zero, base_v.profile)}
+    runs = [(name, coupled_mod._candidate(e, params, 0))
+            for name, e in embeddings.items()]
+    for name, init in coupled_mod._initial_states(base_u, base_v):
+        try:
+            runs.append((name, coupled_mod._run_start(init, params, 20000)))
+        except (NumericalError, ZeroState) as exc:
+            runs.append((name, (None, str(exc))))
+    bound = min(projected_energy(e, params) for e in embeddings.values())
+    for i, (name, (gs, _)) in enumerate(runs):
+        if gs is not None and gs.m > coupled_mod._tie_limit(bound):
+            runs[i] = name, (None, f"m={gs.m:.10g} above the embeddings' "
+                                   f"bound {bound:.10g}")
+    candidates = [gs for _, (gs, _) in runs if gs is not None]
+    if not candidates:
+        raise NoConvergence(
+            f"no certified state of Morse index 1 within the embeddings' bound "
+            f"on N={grid.N}, h={grid.h:g} (under-resolved? refine N): "
+            + "; ".join(f"{name}: {reason}" for name, (_, reason) in runs))
+    m_min = min(c.m for c in candidates)
+    tied = [c for c in candidates if c.m <= coupled_mod._tie_limit(m_min)]
+    return min(tied, key=lambda c: (c.kind is not Kind.VECTOR,
+                                    c.kind is Kind.SCALAR_V, c.iterations,
+                                    max(c.residuals)))
+
+
+def _spy_on_the_gate(monkeypatch):
+    """Record every state that reaches `certify` or `morse_index`."""
+    seen = []
+    real_certify, real_index = coupled_mod.certify, coupled_mod.morse_index
+
+    def certify_spy(state, params):
+        seen.append(state.values)
+        return real_certify(state, params)
+
+    def index_spy(grid, ys, params):
+        seen.append(ys)
+        return real_index(grid, ys, params)
+
+    monkeypatch.setattr(coupled_mod, "certify", certify_spy)
+    monkeypatch.setattr(coupled_mod, "morse_index", index_spy)
+    return seen
+
+
+def _embedding_states(seen):
+    """The recorded states with one component identically zero."""
+    return [ys for ys in seen if not (ys[0].any() and ys[1].any())]
+
+
+def test_an_embedding_that_cannot_win_is_not_judged(monkeypatch, grid,
+                                                    cubic_nl, cubic_scalar):
+    # at β = 2 the start's vector state lies far below both embeddings, so
+    # neither reaches the certificate or the index, and the answer is the
+    # one the reduction over all three judged runs gives
+    params = EnergyParams(cubic_nl, cubic_nl, 2.0)
+    baselines = (cubic_scalar, cubic_scalar)
+    want = _reference_solve(params, grid, baselines)
+    seen = _spy_on_the_gate(monkeypatch)
+    gs = solve_coupled(params, grid, baselines=baselines)
+    assert seen and _embedding_states(seen) == []
+    assert gs.kind is want.kind is Kind.VECTOR
+    assert (gs.m, gs.iterations, gs.residuals) == (want.m, want.iterations,
+                                                   want.residuals)
+    assert np.array_equal(gs.state.u.values, want.state.u.values)
+    assert np.array_equal(gs.state.v.values, want.state.v.values)
+
+
+def test_embeddings_that_can_win_are_judged(monkeypatch, grid, cubic_nl,
+                                            cubic_scalar):
+    # at β = 0.5 the start ends on its saddle with no state, so both
+    # embeddings are judged, and scalar_u wins
+    params = EnergyParams(cubic_nl, cubic_nl, 0.5)
+    seen = _spy_on_the_gate(monkeypatch)
+    gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
+    embedded = _embedding_states(seen)
+    assert any(not v.any() for _, v in embedded)
+    assert any(not u.any() for u, _ in embedded)
+    assert gs.kind is Kind.SCALAR_U and gs.iterations == 0
+
+
+def test_a_start_above_the_bound_leaves_the_embeddings_judged(monkeypatch):
+    # the start's state lies above the embeddings' bound, so it sets no
+    # ceiling: both embeddings are judged, both fail, and the failure reads
+    # as the reduction over all three judged runs has it
+    g = RadialGrid(R=20.0, N=1600)
+    params = EnergyParams(power_sum([(1.7451, 1.7097)]),
+                          power_sum([(0.9014, 4.1051)]), 1.578)
+    baselines = coupled_mod.scalar_baselines(params, g)
+    with pytest.raises(NoConvergence) as want:
+        _reference_solve(params, g, baselines)
+    seen = _spy_on_the_gate(monkeypatch)
+    with pytest.raises(NoConvergence) as exc:
+        solve_coupled(params, g, baselines=baselines)
+    assert str(exc.value) == str(want.value)
+    assert "scalar_pair: m=" in str(exc.value)
+    embedded = _embedding_states(seen)
+    assert any(not v.any() for _, v in embedded)
+    assert any(not u.any() for u, _ in embedded)
+
+
+def test_an_exact_tie_prefers_fewer_iterations(monkeypatch, grid, cubic_nl,
+                                               cubic_scalar):
+    # the start returns the scalar_u embedding's own judged state after 20
+    # iterations and with a smaller residual: the energies tie exactly, and
+    # the embedding, with 0 iterations, wins
+    params = EnergyParams(cubic_nl, cubic_nl, 0.5)
+    judged = coupled_mod._judge(
+        State(cubic_scalar.profile, Profile.zero(grid)), params, 0)
+    copy = dataclasses.replace(
+        judged, iterations=20,
+        residuals=tuple(0.5 * r for r in judged.residuals))
+    monkeypatch.setattr(coupled_mod, "_run_start",
+                        lambda init, params, max_iters: (copy, ""))
+    gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
+    assert gs.m == copy.m and max(gs.residuals) > max(copy.residuals)
+    assert gs.iterations == 0
 
 
 def test_descend_rejects_overflowing_potential(monkeypatch, cubic_nl):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from nlsground.grid import (Profile, RadialGrid, State, dilate, integrate,
 from nlsground.nonlinearity import (cubic, eval_df, eval_f, log_enhanced,
                                     power_sum)
 from conftest import (AMP3_PROJECTED, AMP3_TBAR, GAUSS_INT, GAUSS_NARROW_INT,
-                      GAUSS_R2_INT, gaussian_bumps)
+                      GAUSS_R2_INT, gaussian_bumps, reference_morse_index)
 
 
 def _gauss_state(grid, amp=1.0):
@@ -412,3 +413,101 @@ def test_one_component_operator_is_the_pair_at_v_zero(bumps, which, N):
             gu, coupled_mod._phi_gradient(g, pair, params, K, W)[0])
     index = morse_index(g, (u,), params)
     assert index == morse_index(g, pair, params)
+
+
+def _bump_profile(g, bumps):
+    u = np.zeros(g.N + 1)
+    for amp, width, center in bumps:
+        u += amp * np.exp(-((g.r - center) ** 2) / (2.0 * width * width))
+    u[-1] = 0.0
+    return u
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(ubumps=st.lists(_BUMP, min_size=1, max_size=2),
+       vbumps=st.lists(_BUMP, max_size=2), beta=st.floats(0.0, 3.0),
+       which=st.tuples(st.integers(0, len(_CATALOG) - 1),
+                       st.integers(0, len(_CATALOG) - 1)),
+       N=st.sampled_from([64, 200]), strict=st.booleans())
+@example(ubumps=[(8.0, 3.0, 6.0)], vbumps=[], beta=0.0, which=(2, 2),
+         N=200, strict=False)                               # index 44
+@example(ubumps=[(8.0, 3.0, 6.0)], vbumps=[(2.0, 1.0, 1.0)], beta=1.5,
+         which=(2, 0), N=64, strict=True)
+def test_morse_index_matches_the_ldlt_recurrence(ubumps, vbumps, beta, which,
+                                                 N, strict):
+    # the banded Cholesky count equals the node-block LDLᵀ recurrence's on
+    # one- and two-component states (no v bumps: the one component), and
+    # at N = 64 the dense count; strict drops the zero-mode tolerance
+    g = RadialGrid(R=20.0, N=N)
+    u = _bump_profile(g, ubumps)
+    ys = (u, _bump_profile(g, vbumps)) if vbumps else (u,)
+    params = EnergyParams(_CATALOG[which[0]], _CATALOG[which[1]], beta)
+    tol = 0.0 if strict else INDEX_TOL
+    with mock.patch.object(energy_mod, "INDEX_TOL", tol):
+        index = morse_index(g, ys, params)
+        assert index == reference_morse_index(g, ys, params)
+    if N == 64:
+        pair = ys if len(ys) == 2 else (u, np.zeros(N + 1))
+        st_ = State(Profile(g, pair[0]), Profile(g, pair[1]))
+        hessian, mass = _dense_hessian(st_, params)
+        if len(ys) == 1:
+            hessian, mass = hessian[:N - 1, :N - 1], mass[:N - 1, :N - 1]
+        scale = 1.0 / np.sqrt(np.diag(mass))
+        eig = np.linalg.eigvalsh(scale[:, None] * hessian * scale[None, :])
+        assert index == int(np.sum(eig < -tol))
+
+
+@pytest.mark.parametrize("tol", [INDEX_TOL, 0.0])
+def test_zero_mode_states_match_the_ldlt_recurrence(grid, cubic_nl,
+                                                    cubic_scalar, tol):
+    # at β = 1 the cubic (w, 0) and (w, w)/√2 carry a zero mode; moved by
+    # the certificate's residual it reads on either side of 0
+    params = EnergyParams(cubic_nl, cubic_nl, 1.0)
+    w = cubic_scalar.profile.values
+    counts = []
+    for u, v in ((w, 0.0 * w), (w / math.sqrt(2.0), w / math.sqrt(2.0))):
+        for scale in (1.0 - 1.5e-6, 1.0 + 1.5e-6):
+            ys = (scale * u, scale * v)
+            with mock.patch.object(energy_mod, "INDEX_TOL", tol):
+                counts.append(morse_index(grid, ys, params))
+                assert counts[-1] == reference_morse_index(grid, ys, params)
+    assert set(counts) == ({1} if tol else {1, 2})
+
+
+def _band(dense, kd):
+    """Lower band storage, Fortran-ordered, of a symmetric matrix."""
+    n = len(dense)
+    band = np.zeros((kd + 1, n), order="F")
+    for k in range(kd + 1):
+        band[k, :n - k] = np.diagonal(dense, -k)
+    return band
+
+
+@pytest.mark.parametrize("dense, kd, want", [
+    # a zero pivot and its −∞ follower count once, whatever comes next
+    ([[0.0, 1.0], [1.0, 2.0]], 1, 1),
+    ([[0.0, 1.0], [1.0, -2.0]], 1, 1),
+    ([[4.0, -2.0, 0.0, 0.0], [-2.0, 1.0, -1.0, 0.0],
+      [0.0, -1.0, -3.0, -1.0], [0.0, 0.0, -1.0, 2.0]], 1, 1),
+    # a zero coupled to nothing is one zero eigenvalue
+    ([[0.0, 0.0], [0.0, 2.0]], 1, 1),
+    # half-width 2: the zero pairs with the first row it couples to
+    ([[0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 3.0, -1.0, 0.5, 0.0],
+      [1.0, -1.0, -2.0, 1.0, 0.3], [0.0, 0.5, 1.0, 4.0, 1.0],
+      [0.0, 0.0, 0.3, 1.0, -1.0]], 2, 2),
+    ([[0.0, 2.0, 1.0, 0.0, 0.0], [2.0, -3.0, -1.0, 0.5, 0.0],
+      [1.0, -1.0, -2.0, 1.0, 0.3], [0.0, 0.5, 1.0, 4.0, 1.0],
+      [0.0, 0.0, 0.3, 1.0, -1.0]], 2, 3),
+    ([[4.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, 5.0]], 2, 1),
+    ([[4.0, 2.0, 1.0, 0.0], [2.0, 1.0, 0.0, 1.0], [1.0, 0.0, 3.0, 1.0],
+      [0.0, 1.0, 1.0, 2.0]], 2, 1),
+])
+def test_zero_pivot_counts_once(dense, kd, want):
+    dense = np.array(dense)
+    assert energy_mod._count_nonpositive_pivots(_band(dense, kd)) == want
+    eig = np.linalg.eigvalsh(dense)
+    if np.all(np.abs(eig) > 1e-9):
+        assert want == int(np.sum(eig < 0.0))
+    # the count reads the factor pbtrf returns: a C-ordered band is copied
+    assert energy_mod._count_nonpositive_pivots(
+        np.ascontiguousarray(_band(dense, kd))) == want
