@@ -120,7 +120,10 @@ def parse_config(text: str) -> RunConfig:
     if beta is not None:
         if not isinstance(beta, (int, float)) or isinstance(beta, bool):
             raise ConfigError("beta must be a number")
-        beta = float(beta)
+        try:
+            beta = float(beta)
+        except OverflowError as exc:    # an int past the float range
+            raise ConfigError(f"beta: {exc}") from exc
         if not math.isfinite(beta):
             raise ConfigError(f"beta must be finite, got {beta}")
         if not beta > 0.0:
@@ -131,7 +134,10 @@ def parse_config(text: str) -> RunConfig:
                 or not all(isinstance(b, (int, float)) and not isinstance(b, bool)
                            for b in beta_list)):
             raise ConfigError("beta_list must be a list of numbers")
-        beta_list = tuple(float(b) for b in beta_list)
+        try:
+            beta_list = tuple(float(b) for b in beta_list)
+        except OverflowError as exc:
+            raise ConfigError(f"beta_list: {exc}") from exc
         if not all(math.isfinite(b) for b in beta_list):
             raise ConfigError("beta_list entries must be finite")
         if any(b <= 0.0 for b in beta_list):

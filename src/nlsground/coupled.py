@@ -48,7 +48,12 @@ It is `nlsground.energy._variation` with these weights; the descent's
 Jacobian.  Scaled by the quadrature weights it is symmetric positive
 definite, so it is factored once per round without pivoting (LAPACK
 `pttrf`) and applied once per iteration (`pttrs`, one right-hand side
-per component).
+per component).  Each point of a round is evaluated once: the iterate
+and the Armijo trial are two `nlsground.energy._Point`s swapped on
+acceptance, the gradient reads what the accepted trial's `_terms`
+formed, and G, the step D and the `pttrs` right-hand side are allocated
+once per round.  A judged state's (K, W) are formed once too: `_judge`
+takes the action of a state that settles without dilating from them.
 """
 from __future__ import annotations
 
@@ -60,9 +65,10 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .energy import (EnergyParams, EnergyReport, _cone_terms, _laplacian_band,
-                     _phi_value, _terms, _variation, energy_I, energy_report,
-                     morse_index, newton, project_pohozaev, projected_energy)
+from .energy import (EnergyParams, EnergyReport, _carve, _cone_terms,
+                     _laplacian_band, _phi_value, _Point, _terms, _variation,
+                     _Work, energy_I, energy_report, morse_index, newton,
+                     project_pohozaev, projected_energy)
 from .energy import residuals  # noqa: F401  bound for perfbench tracer.PLAN
 from .errors import (CertificationFailure, NegativeBeta, NoConvergence,
                      NoProjection, NumericalError, ZeroState)
@@ -159,10 +165,14 @@ def certify(gs: GroundState | State, params: EnergyParams) -> EnergyReport:
 
 def _phi_gradient(grid, ys, params: EnergyParams, K: float, W: float):
     """Weighted gradient of Φ at node arrays `ys` with terms K, W, one array
-    per component; 0 at nodes 0, N."""
+    per component; 0 at nodes 0, N.
+
+    A `_Point` whose `_terms` gave K, W is not formed again: the gradient
+    reads its kept pieces and is written into its buffers.
+    """
     a = math.sqrt(K / (6.0 * W))
     b = _phi_value(K, W) / (2.0 * W)
-    gs = _variation(grid, ys, params, a, b)
+    gs = _variation(grid, ys, params, a, b, formed=True)
     for g in gs:
         g[0] = 0.0
     return gs
@@ -186,18 +196,25 @@ def _factor_preconditioner(grid):
     return w, d, e
 
 
-def _precondition(factors, gs):
-    """Solve (I − Δ_h) d = g for each component as W(I − Δ_h) d = W g."""
+def _precondition(factors, gs, out=None, rhs=None):
+    """Solve (I − Δ_h) d = g for each component as W(I − Δ_h) d = W g.
+
+    `out` (components × nodes) receives d and `rhs` (components × interior
+    nodes) the right-hand side; each is allocated when not given.
+    """
     w, dd, e = factors
-    size = gs[0].size
-    rhs = np.empty((len(gs), size - 2))
+    c, size = len(gs), gs[0].size
+    if out is None:
+        out = np.empty((c, size))
+    if rhs is None:
+        rhs = np.empty((c, size - 2))
     for row, g in zip(rhs, gs):
         np.multiply(w, g[1:-1], out=row)
     x, _ = dpttrs(dd, e, rhs.T, overwrite_b=1)   # rhs.T is Fortran-ordered
-    d = np.zeros((len(gs), size))
-    d[:, 1:-1] = x.T
-    d[:, 0] = d[:, 1]
-    return tuple(d)
+    out[:, 1:-1] = x.T
+    out[:, 0] = out[:, 1]
+    out[:, -1] = 0.0
+    return tuple(out)
 
 
 def _descend(grid, ys, params: EnergyParams, max_iters: int):
@@ -206,38 +223,49 @@ def _descend(grid, ys, params: EnergyParams, max_iters: int):
     Runs on the node arrays `ys`, (u, v) or (w,), from a start on the cone
     (else `_cone_terms` raises) and never leaves it.  Stops after
     `max_iters` iterations, or when no backtracked step decreases enough;
-    `grad` is the last weighted ‖G‖.
+    `grad` is the last weighted ‖G‖.  The iterate and the Armijo trial are
+    two `_Point`s, swapped on acceptance, so each state is evaluated once:
+    its gradient reuses what its trial's `_terms` formed.
     """
-    ys = tuple(y.copy() for y in ys)
-    for y in ys:
+    c, size = len(ys), grid.N + 1
+    *arrays, prod = _carve(size, 2 * c + 1)
+    cur = _Point(tuple(arrays[:c]), _Work(grid, params, c))
+    trial = _Point(tuple(arrays[c:]), _Work(grid, params, c, share=cur.work))
+    for y, start in zip(cur, ys):
+        np.copyto(y, start)
         y[0] = y[1]
-    K, W = _cone_terms(grid, ys, params)
+    K, W = _cone_terms(grid, cur, params)
     phi = _phi_value(K, W)
     factors = _factor_preconditioner(grid)
+    d, rhs = np.empty((c, size)), np.empty((c, size - 2))
     it = 0
     gnorm = math.inf
     while it < max_iters:
-        gs = _phi_gradient(grid, ys, params, K, W)
-        gnorm = math.sqrt(float(sum(grid.w @ (g * g) for g in gs)))
+        gs = _phi_gradient(grid, cur, params, K, W)
+        gnorm = math.sqrt(float(sum(grid.w @ np.multiply(g, g, out=prod)
+                                    for g in gs)))
         # ‖G‖ is not finite when G is not, or when G·G overflows: scan then
         if not math.isfinite(gnorm) and not all(np.isfinite(g).all()
                                                 for g in gs):
             raise NoConvergence(f"non-finite descent gradient at iteration {it}")
-        ds = _precondition(factors, gs)
-        slope = float(sum(grid.w @ (g * d) for g, d in zip(gs, ds)))
+        ds = _precondition(factors, gs, d, rhs)
+        slope = float(sum(grid.w @ np.multiply(g, dk, out=prod)
+                          for g, dk in zip(gs, ds)))
         it += 1
         s = 1.0
         for _ in range(60):
-            trial = tuple(y - s * d for y, d in zip(ys, ds))
+            for y, dk, t in zip(cur, ds, trial):
+                np.subtract(y, np.multiply(s, dk, out=t), out=t)
             Kt, Wt = _terms(grid, trial, params)
             pt = _phi_value(Kt, Wt)
             if pt <= phi - ARMIJO * s * slope:
-                ys, K, W, phi = trial, Kt, Wt, pt
+                cur, trial = trial, cur
+                K, W, phi = Kt, Wt, pt
                 break
             s *= BACKTRACK
         else:
             break   # no Armijo step
-    return ys, it, gnorm
+    return tuple(cur), it, gnorm
 
 
 # ----------------------------------------------------------------------
@@ -258,40 +286,46 @@ def _initial_states(base_u: ScalarGroundState, base_v: ScalarGroundState):
     return [("scalar_pair", State(base_u.profile, base_v.profile))]
 
 
-def _settle_on_manifold(state: State, params: EnergyParams) -> State:
+def _settle_on_manifold(state: State, params: EnergyParams, K: float,
+                        W: float) -> State:
     """Project onto J = 0 only when the state's own defect needs it.
 
-    A polished discrete critical point carries J = O(h²)·(1+K) from
-    quadrature alone.  When that defect already sits inside half the
-    certification budget, dilating would *worsen* the state: the profile
-    moves by O(t̄−1) and picks up a PDE residual ~10·|t̄−1| while J gains
-    nothing that matters.  On coarse grids the defect exceeds the budget
-    and the trade goes the other way.
+    K, W are the state's `_terms`.  A polished discrete critical point
+    carries J = O(h²)·(1+K) from quadrature alone.  When that defect
+    already sits inside half the certification budget, dilating would
+    *worsen* the state: the profile moves by O(t̄−1) and picks up a PDE
+    residual ~10·|t̄−1| while J gains nothing that matters.  On coarse
+    grids the defect exceeds the budget and the trade goes the other way.
     """
-    K, W = _terms(state.grid, state.values, params)
     if abs(0.5 * K - 3.0 * W) <= 0.5 * CERT_TOL * (1.0 + K):
         return state
     return project_pohozaev(state, params)[0]
 
 
 def _judge(state: State, params: EnergyParams, iterations: int,
-           ceiling: float = math.inf) -> GroundState | None:
+           ceiling: float = math.inf,
+           terms: tuple[float, float] | None = None) -> GroundState | None:
     """Settle, `certify` and `classify` a state; raises what they raise.
 
-    A settled state whose action lies above `ceiling` is returned as None,
-    before `certify` runs.
+    `terms` is the state's (K, W) when the caller has them.  A settled
+    state whose action lies above `ceiling` is returned as None, before
+    `certify` runs.
     """
-    state = _settle_on_manifold(state, params)
-    if ceiling < math.inf and energy_I(state, params) > ceiling:
-        return None
-    rep = certify(state, params)
-    return GroundState(state=state, m=rep.I, kind=classify(state),
+    K, W = terms or _terms(state.grid, state.values, params)
+    settled = _settle_on_manifold(state, params, K, W)
+    if ceiling < math.inf:
+        m = 0.5 * K - W if settled is state else energy_I(settled, params)
+        if m > ceiling:
+            return None
+    rep = certify(settled, params)
+    return GroundState(state=settled, m=rep.I, kind=classify(settled),
                        residuals=(rep.residual_u, rep.residual_v),
                        iterations=iterations)
 
 
 def _candidate(state: State, params: EnergyParams, iterations: int,
-               ceiling: float = math.inf):
+               ceiling: float = math.inf,
+               terms: tuple[float, float] | None = None):
     """The one accept gate: `_judge`, then Morse index 1.
 
     Returns (GroundState, "") or (None, the rejection: the certificate
@@ -299,7 +333,7 @@ def _candidate(state: State, params: EnergyParams, iterations: int,
     settled action above `ceiling`).
     """
     try:
-        gs = _judge(state, params, iterations, ceiling)
+        gs = _judge(state, params, iterations, ceiling, terms)
     except (NoProjection, CertificationFailure) as exc:
         return None, str(exc)
     if gs is None:
@@ -342,10 +376,11 @@ def _run_start(init: State, params: EnergyParams, max_iters: int):
         state, _ = project_pohozaev(State(Profile(gr, u), Profile(gr, v)),
                                     params)
         polished = _coupled_newton(state, params)
-        gs, reason = _candidate(polished, params, done)
+        K, W = _terms(gr, polished.values, params)
+        gs, reason = _candidate(polished, params, done, terms=(K, W))
         if gs is not None:
             return gs, ""
-        m = energy_I(polished, params)
+        m = 0.5 * K - W     # `energy_I` of the polished state
         if ((last is not None and abs(m - last) <= TIE_REL * (1.0 + abs(m)))
                 or iters < budget or done >= max_iters):
             return None, f"{reason} after {done} iterations"

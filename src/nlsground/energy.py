@@ -23,6 +23,15 @@ component's terms dropped.  The β·u²v² coupling is present only when there
 are two.  Both linear-algebra kernels hand LAPACK a band in its own
 Fortran storage: `gbsv` for the coupled Newton step and `pbtrf` for the
 index.  `nlsground.coupled.certify` judges its states.
+
+A state is evaluated in a `_Work`, buffers allocated once per call: `_form`
+writes each component's Δy, y² and nonlinearity piece there, `_terms` and
+`_variation` read them, and a `_Point` (the node arrays tagged with their
+work) lets `_variation` reuse what `_terms` formed at the same state.  The
+descent, `newton`, the projection and `morse_index` each allocate their
+works once.  The rounding is that of the forms that build every array
+afresh, which `tests/conftest.py` keeps: the same operations in the same
+order, less products by 1 and |y|² read as y·y, which are exact.
 """
 from __future__ import annotations
 
@@ -34,9 +43,11 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv, dpbtrf
 
 from .errors import NoProjection, ZeroState
-from .grid import (Profile, State, dilate_values, flux_laplacian_interior,
-                   integrate, kinetic)
-from .nonlinearity import Nonlinearity, eval_F, eval_df, eval_f
+from .grid import (Profile, State, _flux_laplacian, dilate_values, integrate,
+                   kinetic)
+from .nonlinearity import (Nonlinearity, _force, _potential, _shared,
+                           _shared_buffers, _stiffness)
+from .nonlinearity import eval_F, eval_f  # noqa: F401  bound for perfbench tracer.PLAN
 
 __all__ = [
     "EnergyParams", "EnergyReport", "energy_I", "pohozaev_J",
@@ -76,16 +87,97 @@ class EnergyReport:
         return "\n".join(f"{k}={format(getattr(self, k), '.17g')}" for k in keys)
 
 
+def _carve(n: int, count: int, from_one: int = 0):
+    """`count` empty float arrays of length n, then `from_one` more, cut
+    from one allocation: element 0 of the first ones, element 1 of the
+    others, starts a 64-byte line.
+
+    numpy's vector loops store whole lines there; an output that straddles
+    them takes about twice as long.
+    """
+    stride = (n + 15) // 8 * 8             # whole lines, with room to shift
+    rows = count + from_one
+    raw = np.empty(rows * stride + 8)
+    skip = -(raw.ctypes.data // 8) % 8
+    block = raw[skip:skip + rows * stride].reshape(rows, stride)
+    return list(block[:count, :n]) + list(block[count:, 7:7 + n])
+
+
+class _Work:
+    """The buffers one state of c components is evaluated in.
+
+    `_form` writes each component's Δy, y² and `_shared` piece here, which
+    `_terms` and `_variation` then read.  `var` receives the variation and
+    the rest is scratch that each evaluation overwrites; a work made with
+    `share` uses that work's, so two points of one call (an iterate and
+    its trial) hold only their own pieces.
+    """
+
+    def __init__(self, grid, params: EnergyParams, c: int,
+                 share: _Work | None = None):
+        N = grid.N
+        nls = (params.f, params.g)[:c]
+        if share is None:
+            rows = _carve(N + 1, 2 * c + 7, c)    # var is written from node 1
+            (flux_dy, self.src, self.P, self.M, self.t1, self.t2,
+             self.t3) = rows[2 * c:2 * c + 7]
+            self.flux_dy, self.var = flux_dy[:N], rows[2 * c + 7:]
+        else:
+            rows = _carve(N + 1, 2 * c)
+            for name in ("var", "flux_dy", "src", "P", "M", "t1", "t2", "t3"):
+                setattr(self, name, getattr(share, name))
+        self.dy = [row[:N] for row in rows[:c]]
+        self.y2 = rows[c:2 * c]
+        self.shared = [_shared_buffers(nl, lambda: np.empty(N + 1))
+                       for nl in nls]
+        self.pieces = [None for _ in nls]
+
+
+class _Point(tuple):
+    """Node arrays (u, v) or (w,) that carry the `_Work` they are evaluated
+    in; anything that reads a tuple of node arrays reads one."""
+
+    def __new__(cls, ys, work: _Work):
+        point = super().__new__(cls, ys)
+        point.work = work
+        return point
+
+
+def _work_of(grid, ys, params: EnergyParams) -> _Work:
+    """The `_Work` a `_Point` carries; fresh buffers for bare arrays."""
+    return ys.work if isinstance(ys, _Point) else _Work(grid, params, len(ys))
+
+
+def _form(ys, params: EnergyParams, work: _Work):
+    """Δy, y² and the `_shared` piece of each component, into `work`."""
+    for k, (y, nl) in enumerate(zip(ys, (params.f, params.g))):
+        np.subtract(y[1:], y[:-1], out=work.dy[k])
+        np.multiply(y, y, out=work.y2[k])
+        work.pieces[k] = _shared(nl, y, work.y2[k], work.shared[k])
+
+
 def _terms(grid, ys, params: EnergyParams):
     """(K, W) of node arrays (u, v) or (w,): Dirichlet energy, well depth
-    P − M/2."""
-    K = sum(float(grid.flux @ np.square(y[1:] - y[:-1])) for y in ys)
-    u = ys[0]
-    M, P = u * u, eval_F(params.f, u)
+    P − M/2.
+
+    A `_Point`'s work keeps what this forms, for `_variation` at the same
+    state.
+    """
+    work = _work_of(grid, ys, params)
+    _form(ys, params, work)
+    K = sum(float(grid.flux @ np.multiply(dy, dy, out=work.flux_dy))
+            for dy in work.dy)
+    u2 = work.y2[0]
+    P = _potential(params.f, ys[0], u2, work.pieces[0], work.P, (work.t1,))
+    M = u2
     if len(ys) == 2:
-        vv = ys[1] * ys[1]
-        P = P + eval_F(params.g, ys[1]) + 0.5 * params.beta * M * vv
-        M = M + vv
+        v2 = work.y2[1]
+        P += _potential(params.g, ys[1], v2, work.pieces[1], work.t1,
+                        (work.t2,))
+        coupling = np.multiply(0.5 * params.beta, u2, out=work.t1)
+        coupling *= v2
+        P += coupling
+        M = np.add(u2, v2, out=work.M)
     return K, integrate(grid, P) - 0.5 * integrate(grid, M)
 
 
@@ -99,27 +191,37 @@ def pohozaev_J(state: State, params: EnergyParams) -> float:
     return 0.5 * K - 3.0 * W
 
 
-def _variation(grid, ys, params: EnergyParams, a: float = 1.0, b: float = 1.0):
+def _variation(grid, ys, params: EnergyParams, a: float = 1.0, b: float = 1.0,
+               formed: bool = False):
     """Discrete a·(−Δ_h y) + b·(y − f(y) − β y·other²) for each y of `ys`.
 
     With a = b = 1 it is the first variation of the action; the weights of
     Φ's gradient give `nlsground.coupled._phi_gradient`.  Interior nodes
     use the flux-form Laplacian (the exact adjoint of the discrete kinetic
     energy); the origin uses the symmetry-limit stencil; the Dirichlet
-    node N carries no variation.  Returns one array per component.
+    node N carries no variation.  Returns one array per component, the
+    work's `var` buffers (fresh ones for bare arrays); with `formed` a
+    `_Point` reuses the pieces that `_terms` formed at it.
     """
-    out = []
+    work = _work_of(grid, ys, params)
+    if not (formed and isinstance(ys, _Point)):
+        _form(ys, params, work)
     for k, (y, nl) in enumerate(zip(ys, (params.f, params.g))):
-        source = y - eval_f(nl, y)
+        source = _force(nl, y, work.y2[k], work.pieces[k], work.src,
+                        (work.t1, work.t2))
+        np.subtract(y, source, out=source)
         if len(ys) == 2:
-            other = ys[1 - k]
-            source -= params.beta * y * (other * other)
-        var = np.empty(grid.N + 1)
-        var[1:-1] = -a * flux_laplacian_interior(grid, y) + b * source[1:-1]
-        var[0] = -a * 6.0 * (y[1] - y[0]) / grid.h ** 2 + b * source[0]
+            pull = np.multiply(params.beta, y, out=work.t1)
+            pull *= work.y2[1 - k]
+            source -= pull
+        var = work.var[k]
+        lap = _flux_laplacian(grid, work.dy[k], var[1:-1], work.flux_dy)
+        lap *= -a
+        source *= b
+        lap += source[1:-1]
+        var[0] = -a * 6.0 * (y[1] - y[0]) / grid.h ** 2 + source[0]
         var[-1] = 0.0
-        out.append(var)
-    return tuple(out)
+    return tuple(work.var)
 
 
 def _laplacian_band(grid):
@@ -160,16 +262,27 @@ def morse_index(grid, ys, params: EnergyParams) -> int:
     # pbtrf's lower band storage, Fortran-ordered: A[j + k, j] is row k
     band = np.zeros((c + 1, n), order="F")
     band[c, :n - c] = np.repeat(w[:-1] * upper[1:], c)  # node i to node i+1
-    u = ys[0][1:N]
-    if c == 1:
-        band[0] = stiff + w * (1.0 + INDEX_TOL - eval_df(params.f, u))
-    else:
-        v = ys[1][1:N]
-        band[0, 0::2] = stiff + w * (1.0 + INDEX_TOL - eval_df(params.f, u)
-                                     - beta * v * v)
-        band[0, 1::2] = stiff + w * (1.0 + INDEX_TOL - eval_df(params.g, v)
-                                     - beta * u * u)
-        band[1, 0::2] = -2.0 * beta * w * u * v     # u to v at one node
+    # the pivots on all nodes, in whole lines, of which 1..N−1 are read
+    work = _Work(grid, params, c)
+    tmp = (work.t1, work.t2, work.t3)
+    shift = 1.0 + INDEX_TOL
+    for k, (y, nl, out) in enumerate(zip(ys, (params.f, params.g),
+                                         (work.P, work.M))):
+        y2 = np.multiply(y, y, out=work.y2[k])
+        pivot = _stiffness(nl, y, y2, _shared(nl, y, y2, work.shared[k]), out,
+                           tmp)
+        np.subtract(shift, pivot, out=pivot)
+        if c == 2:
+            pull = np.multiply(beta, ys[1 - k], out=work.t1)
+            pull *= ys[1 - k]
+            pivot -= pull
+        pivot *= grid.w
+        np.add(stiff, pivot[1:N], out=band[0, k::c])
+    if c == 2:
+        cross = np.multiply(-2.0 * beta, grid.w, out=work.t1)
+        cross *= ys[0]
+        cross *= ys[1]
+        band[1, 0::2] = cross[1:N]          # u to v at one node
     return _count_nonpositive_pivots(band)
 
 
@@ -259,46 +372,69 @@ def newton(grid, ys, params: EnergyParams):
         lap[top, c + k::c] = upper              # A[ci+k, c(i+1)+k]
         lap[top + 2 * c, k:n - c:c] = lower     # A[c(i+1)+k, ci+k]
 
-    def residual(trial):
-        res = np.empty(n)
-        for k, r in enumerate(_variation(grid, trial, params)):
-            res[k::c] = r[:N]
-        return res
+    ab = np.empty_like(lap)
 
-    res = residual(ys)
+    def residual(point, out):
+        for k, r in enumerate(_variation(grid, point, params)):
+            out[k::c] = r[:N]
+        return out
+
+    # the iterate and the trial step alternate between two sets of arrays;
+    # the caller's `ys` is never written
+    cur = _Point(ys, _Work(grid, params, c))
+    spare = _Work(grid, params, c, share=cur.work)
+    arrays = _carve(N + 1, 2 * c + 1)
+    sets, shift = [tuple(arrays[:c]), tuple(arrays[c:2 * c])], arrays[-1][:N]
+    nxt = 0
+    res, tres = _carve(n, 2)
+    res = residual(cur, res)
     for _ in range(NEWTON_MAX_ITER):
         rn = float(np.sqrt(res @ res))
-        ymax = max([float(np.max(np.abs(y))) for y in ys] + [1.0])
+        ymax = max([float(np.max(np.abs(y, out=cur.work.t1))) for y in cur]
+                   + [1.0])
         if rn <= 1e-12 * ymax * math.sqrt(n):
             break
-        ab = lap.copy(order="K")
-        jac = [1.0 - eval_df(nl, y[:N]) for y, nl in zip(ys, (params.f, params.g))]
+        np.copyto(ab, lap)
+        # 1 − f′ at the iterate, from the pieces its residual formed
+        work = cur.work
+        jac = [np.subtract(1.0, _stiffness(nl, y, work.y2[k], work.pieces[k],
+                                           out, (work.t1, work.t2, work.t3)),
+                           out=out)[:N]
+               for k, (y, nl, out) in enumerate(zip(cur, (params.f, params.g),
+                                                    (work.P, work.M)))]
         if c == 1:
             ab[1] += jac[0]
-            step = solve_banded((1, 1), ab, res)
+            step = solve_banded((1, 1), ab, res, overwrite_b=True)
         else:
-            u, v = ys[0][:N], ys[1][:N]
-            cross = -2.0 * beta * u * v
+            u, v = cur[0][:N], cur[1][:N]
+            cross = np.multiply(-2.0 * beta, u, out=work.t1[:N])
+            cross *= v
             ab[top + 1, 1::2] = cross           # A[2i, 2i+1]
             ab[top + 3, 0:n - 1:2] = cross      # A[2i+1, 2i]
-            ab[top + 2, 0::2] += jac[0] - beta * v ** 2
-            ab[top + 2, 1::2] += jac[1] - beta * u ** 2
-            _, _, step, info = dgbsv(2, 2, ab, res, overwrite_ab=1)
+            for k, j in enumerate(jac):
+                j -= np.multiply(beta, work.y2[1 - k][:N], out=work.t2[:N])
+                ab[top + 2, k::2] += j
+            _, _, step, info = dgbsv(2, 2, ab, res, overwrite_ab=1,
+                                     overwrite_b=1)
             if info > 0:
                 raise np.linalg.LinAlgError("singular matrix")
         lam = 1.0
         for _ in range(30):
-            trial = tuple(y.copy() for y in ys)
-            for k, t in enumerate(trial):
-                t[:N] -= lam * step[k::c]
-            tres = residual(trial)
+            trial = _Point(sets[nxt], spare)
+            for k, (y, t) in enumerate(zip(cur, trial)):
+                np.subtract(y[:N], np.multiply(lam, step[k::c], out=shift),
+                            out=t[:N])
+                t[N] = y[N]
+            residual(trial, tres)
             if float(np.linalg.norm(tres)) < rn:
-                ys, res = trial, tres       # the next step's residual
+                # the next step's residual and the pieces it formed
+                spare, cur, nxt = cur.work, trial, 1 - nxt
+                res, tres = tres, step
                 break
             lam *= 0.5
         else:
             break   # stalled at the floor; the caller's certificate decides
-    return ys
+    return tuple(cur)
 
 
 def _h1_norm(p: Profile) -> float:
@@ -335,14 +471,15 @@ def project_pohozaev(state: State, params: EnergyParams) -> tuple[State, float]:
 
 def _project(grid, ys, params: EnergyParams):
     """`project_pohozaev` on node arrays (u, v) or (w,); returns (ys, t̄)."""
-    K, W = _cone_terms(grid, ys, params)
+    work = _Work(grid, params, len(ys))     # every pass's (K, W) is formed here
+    K, W = _cone_terms(grid, _Point(ys, work), params)
     tbar = 1.0
     for _ in range(12):
         t = math.sqrt(K / (6.0 * W))
         if t != 1.0:
             ys = tuple(dilate_values(grid, y, t) for y in ys)
             tbar *= t
-        K, W = _cone_terms(grid, ys, params)
+        K, W = _cone_terms(grid, _Point(ys, work), params)
         if abs(0.5 * K - 3.0 * W) <= 1e-12 * (1.0 + K):
             break
     return ys, tbar

@@ -168,8 +168,17 @@ def flux_laplacian_interior(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     Defined by (4 pi / h)[r_{i+1/2}^2 (u_{i+1}-u_i) - r_{i-1/2}^2 (u_i-u_{i-1})] / w_i,
     so that d(kinetic)/du_i = -2 w_i (Lu)_i holds to roundoff for interior i.
     """
-    du = values[1:] - values[:-1]
-    return (grid.flux[1:] * du[1:] - grid.flux[:-1] * du[:-1]) / grid.w[1:-1]
+    return _flux_laplacian(grid, values[1:] - values[:-1])
+
+
+def _flux_laplacian(grid: RadialGrid, du: np.ndarray, out=None, flux_du=None):
+    """`flux_laplacian_interior` from the node differences du, into `out`
+    (nodes 1..N−1); `flux_du` receives flux·du, formed once for both sides
+    of the stencil.  Either is made when not given."""
+    flux_du = np.multiply(grid.flux, du, out=flux_du)
+    lap = np.subtract(flux_du[1:], flux_du[:-1], out=out)
+    lap /= grid.w[1:-1]
+    return lap
 
 
 def dilate(p: Profile, t: float) -> Profile:

@@ -98,56 +98,113 @@ def cubic() -> Nonlinearity:
     return power_sum([(1.0, 3.0)])
 
 
-def _sum_terms(t, parts):
-    """Add `parts` in order onto the first one; zeros shaped like `t` if none."""
-    parts = iter(parts)
-    out = next(parts, None)
-    if out is None:
-        return np.zeros_like(t)
-    for part in parts:
-        out += part
+def _shared(nl: Nonlinearity, t, t2, out):
+    """The piece that f, F and f′ share at t, given t2 = t·t.
+
+    For a power sum it is the list of |t|^(p − 1), one per term; for an
+    array t a term with p = 3 takes t2 itself, which is |t|**2.0 to the
+    bit.  For log_enhanced it is log1p(t²).  `out` is `_shared_buffers`'
+    result in t's shape; the arrays written are returned.
+    """
+    if nl.family != POWER_SUM:
+        return np.log1p(t2, out=out)
+    if t.ndim == 0:     # a numpy float's `**`, which rounds unlike the ufunc
+        return [np.asarray(abs(t[()]) ** (p - 1.0)) for _, p in nl.terms]
+    *bufs, at = out
+    if at is not None:
+        np.abs(t, out=at)
+    return [t2 if p == 3.0 else np.power(at, p - 1.0, out=buf)
+            for (_, p), buf in zip(nl.terms, bufs)]
+
+
+def _shared_buffers(nl: Nonlinearity, empty):
+    """Arrays for `_shared`, each made by `empty()`: the one log1p(t²), or
+    one per power term with p ≠ 3 and then |t| (None where none is needed)."""
+    if nl.family != POWER_SUM:
+        return empty()
+    bufs = [None if p == 3.0 else empty() for _, p in nl.terms]
+    return bufs + [None if all(p == 3.0 for _, p in nl.terms) else empty()]
+
+
+def _sum_terms(out, tmp, coefs, pieces, factor=None):
+    """Σ coef·piece (·factor per term) into `out`, added in order onto the
+    first term; zeros with no term.  `tmp` holds each later term."""
+    if not pieces:
+        out[...] = 0.0
+    for k, (c, piece) in enumerate(zip(coefs, pieces)):
+        if c == 1.0 and factor is not None:     # 1·piece is piece to the bit
+            term = np.multiply(piece, factor, out=tmp if k else out)
+        else:
+            term = np.multiply(c, piece, out=tmp if k else out)
+            if factor is not None:
+                term *= factor
+        if k:
+            out += term
     return out
+
+
+def _potential(nl: Nonlinearity, t, t2, shared, out, tmp):
+    """F from `_shared`'s piece into `out`; `tmp` is one scratch array."""
+    if nl.family == POWER_SUM:
+        # |t|^{p+1} as |t|^{p−1}·t²: the cubic's piece is t² itself
+        return _sum_terms(out, tmp[0], [a / (p + 1.0) for a, p in nl.terms],
+                          shared, t2)
+    np.multiply(0.5 * nl.amplitude, t2, out=out)
+    return np.multiply(out, shared, out=out)
+
+
+def _force(nl: Nonlinearity, t, t2, shared, out, tmp):
+    """f from `_shared`'s piece into `out`; `tmp` holds two scratch arrays."""
+    if nl.family == POWER_SUM:
+        if len(nl.terms) == 1:      # the one term times t is the sum times t
+            return _sum_terms(out, tmp[0], [nl.terms[0][0]], shared, t)
+        _sum_terms(out, tmp[0], [a for a, _ in nl.terms], shared)
+        return np.multiply(out, t, out=out)
+    np.multiply(t, shared, out=out)
+    ratio = np.multiply(t, t2, out=tmp[0])
+    ratio /= np.add(1.0, t2, out=tmp[1])
+    out += ratio
+    return np.multiply(nl.amplitude, out, out=out)
+
+
+def _stiffness(nl: Nonlinearity, t, t2, shared, out, tmp):
+    """f′ from `_shared`'s piece into `out`; `tmp` holds three scratch arrays."""
+    if nl.family == POWER_SUM:
+        return _sum_terms(out, tmp[0], [a * p for a, p in nl.terms], shared)
+    opt2 = np.add(1.0, t2, out=tmp[0])
+    np.multiply(2.0, t2, out=out)
+    out /= opt2
+    np.add(shared, out, out=out)
+    quartic = np.multiply(3.0, t2, out=tmp[1])
+    quartic += np.multiply(t2, t2, out=tmp[2])
+    quartic /= np.multiply(opt2, opt2, out=opt2)
+    out += quartic
+    return np.multiply(nl.amplitude, out, out=out)
+
+
+def _evaluate(formula, nl: Nonlinearity, t):
+    """One of f, F, f′ at t, in fresh arrays: a float for a scalar t."""
+    t = np.asarray(t, dtype=float)
+    t2 = t * t
+    shared = _shared(nl, t, t2, _shared_buffers(nl, lambda: np.empty_like(t)))
+    out = formula(nl, t, t2, shared, np.empty_like(t),
+                  [np.empty_like(t) for _ in range(3)])
+    return float(out) if out.ndim == 0 else out
 
 
 def eval_f(nl: Nonlinearity, t):
     """Evaluate f(t); odd in t, vectorized over numpy arrays."""
-    t = np.asarray(t, dtype=float)
-    if nl.family == POWER_SUM:
-        at = np.abs(t)
-        out = _sum_terms(t, (a * at ** (p - 1.0) for a, p in nl.terms)) * t
-    else:
-        t2 = t * t
-        out = nl.amplitude * (t * np.log1p(t2) + t * t2 / (1.0 + t2))
-    return float(out) if out.ndim == 0 else out
+    return _evaluate(_force, nl, t)
 
 
 def eval_F(nl: Nonlinearity, t):
     """Evaluate the exact primitive F(t) = int_0^t f; even in t, F(0) = 0."""
-    t = np.asarray(t, dtype=float)
-    if nl.family == POWER_SUM:
-        # |t|^{p+1} as |t|^{p−1}·t²: the cubic's `** 2.0` skips the general pow
-        at = np.abs(t)
-        t2 = t * t
-        out = _sum_terms(t, (a / (p + 1.0) * at ** (p - 1.0) * t2
-                             for a, p in nl.terms))
-    else:
-        t2 = t * t
-        out = 0.5 * nl.amplitude * t2 * np.log1p(t2)
-    return float(out) if out.ndim == 0 else out
+    return _evaluate(_potential, nl, t)
 
 
 def eval_df(nl: Nonlinearity, t):
     """Evaluate f'(t) (even in t); used by Newton polishing."""
-    t = np.asarray(t, dtype=float)
-    if nl.family == POWER_SUM:
-        at = np.abs(t)
-        out = _sum_terms(t, (a * p * at ** (p - 1.0) for a, p in nl.terms))
-    else:
-        t2 = t * t
-        opt2 = 1.0 + t2
-        out = nl.amplitude * (np.log1p(t2) + 2.0 * t2 / opt2
-                              + (3.0 * t2 + t2 * t2) / (opt2 * opt2))
-    return float(out) if out.ndim == 0 else out
+    return _evaluate(_stiffness, nl, t)
 
 
 @dataclass(frozen=True)

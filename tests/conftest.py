@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
+import nlsground.coupled as coupled_mod
 import nlsground.energy as energy_mod
 from nlsground import (EnergyParams, RadialGrid, cubic, log_enhanced,
                        solve_coupled, solve_scalar)
-from nlsground.nonlinearity import eval_df
+from nlsground.errors import NoConvergence, NoProjection, ZeroState
+from nlsground.grid import integrate
+from nlsground.nonlinearity import eval_F, eval_df, eval_f
 
 # Frozen reference values, computed with an independent adaptive-quadrature
 # + stiff-ODE pipeline before this package was written.  See the test
@@ -118,3 +125,141 @@ def reference_morse_index(grid, ys, params) -> int:
             count += 2
         da, db, dc = a, b, c
     return count
+
+
+# The operator as it was before it evaluated each state once in reused
+# buffers: every call forms its pieces afresh in new arrays.  The rewritten
+# `energy._terms`, `energy._variation`, `coupled._phi_gradient`,
+# `coupled._descend` and `energy.newton` must agree with these bitwise.
+
+def reference_terms(grid, ys, params):
+    """`energy._terms`: (K, W) of node arrays (u, v) or (w,)."""
+    K = sum(float(grid.flux @ np.square(y[1:] - y[:-1])) for y in ys)
+    u = ys[0]
+    M, P = u * u, eval_F(params.f, u)
+    if len(ys) == 2:
+        vv = ys[1] * ys[1]
+        P = P + eval_F(params.g, ys[1]) + 0.5 * params.beta * M * vv
+        M = M + vv
+    return K, integrate(grid, P) - 0.5 * integrate(grid, M)
+
+
+def reference_variation(grid, ys, params, a=1.0, b=1.0):
+    """`energy._variation`: a·(−Δ_h y) + b·(y − f(y) − β y·other²)."""
+    out = []
+    for k, (y, nl) in enumerate(zip(ys, (params.f, params.g))):
+        source = y - eval_f(nl, y)
+        if len(ys) == 2:
+            other = ys[1 - k]
+            source -= params.beta * y * (other * other)
+        du = y[1:] - y[:-1]
+        lap = (grid.flux[1:] * du[1:] - grid.flux[:-1] * du[:-1]) / grid.w[1:-1]
+        var = np.empty(grid.N + 1)
+        var[1:-1] = -a * lap + b * source[1:-1]
+        var[0] = -a * 6.0 * (y[1] - y[0]) / grid.h ** 2 + b * source[0]
+        var[-1] = 0.0
+        out.append(var)
+    return tuple(out)
+
+
+def reference_phi_gradient(grid, ys, params, K, W):
+    """`coupled._phi_gradient`: the weighted gradient of Φ."""
+    a = math.sqrt(K / (6.0 * W))
+    b = energy_mod._phi_value(K, W) / (2.0 * W)
+    gs = reference_variation(grid, ys, params, a, b)
+    for g in gs:
+        g[0] = 0.0
+    return gs
+
+
+def reference_descend(grid, ys, params, max_iters):
+    """`coupled._descend`: one round of Armijo descent on Φ."""
+    ys = tuple(y.copy() for y in ys)
+    for y in ys:
+        y[0] = y[1]
+    K, W = reference_terms(grid, ys, params)
+    if K == 0.0:
+        raise ZeroState("cannot project the zero state")
+    phi = energy_mod._phi_value(K, W)
+    if phi == math.inf:
+        raise NoProjection(f"K={K:.6g}, W={W:.6g}: off the cone 0 < W, t̄ < inf")
+    factors = coupled_mod._factor_preconditioner(grid)
+    it = 0
+    gnorm = math.inf
+    while it < max_iters:
+        gs = reference_phi_gradient(grid, ys, params, K, W)
+        gnorm = math.sqrt(float(sum(grid.w @ (g * g) for g in gs)))
+        if not math.isfinite(gnorm) and not all(np.isfinite(g).all()
+                                                for g in gs):
+            raise NoConvergence(f"non-finite descent gradient at iteration {it}")
+        ds = coupled_mod._precondition(factors, gs)
+        slope = float(sum(grid.w @ (g * d) for g, d in zip(gs, ds)))
+        it += 1
+        s = 1.0
+        for _ in range(60):
+            trial = tuple(y - s * d for y, d in zip(ys, ds))
+            Kt, Wt = reference_terms(grid, trial, params)
+            pt = energy_mod._phi_value(Kt, Wt)
+            if pt <= phi - coupled_mod.ARMIJO * s * slope:
+                ys, K, W, phi = trial, Kt, Wt, pt
+                break
+            s *= coupled_mod.BACKTRACK
+        else:
+            break
+    return ys, it, gnorm
+
+
+def reference_newton(grid, ys, params):
+    """`energy.newton`: the damped Newton polish, in fresh arrays."""
+    N = grid.N
+    c = len(ys)
+    n = c * N
+    beta = params.beta
+    top = 0 if c == 1 else c
+    diag, upper, lower = energy_mod._laplacian_band(grid)
+    lap = np.zeros((top + 2 * c + 1, n), order="C" if c == 1 else "F")
+    for k in range(c):
+        lap[top + c, k::c] = diag
+        lap[top, c + k::c] = upper
+        lap[top + 2 * c, k:n - c:c] = lower
+
+    def residual(trial):
+        res = np.empty(n)
+        for k, r in enumerate(reference_variation(grid, trial, params)):
+            res[k::c] = r[:N]
+        return res
+
+    res = residual(ys)
+    for _ in range(energy_mod.NEWTON_MAX_ITER):
+        rn = float(np.sqrt(res @ res))
+        ymax = max([float(np.max(np.abs(y))) for y in ys] + [1.0])
+        if rn <= 1e-12 * ymax * math.sqrt(n):
+            break
+        ab = lap.copy(order="K")
+        jac = [1.0 - eval_df(nl, y[:N]) for y, nl in zip(ys, (params.f, params.g))]
+        if c == 1:
+            ab[1] += jac[0]
+            step = solve_banded((1, 1), ab, res)
+        else:
+            u, v = ys[0][:N], ys[1][:N]
+            cross = -2.0 * beta * u * v
+            ab[top + 1, 1::2] = cross
+            ab[top + 3, 0:n - 1:2] = cross
+            ab[top + 2, 0::2] += jac[0] - beta * v ** 2
+            ab[top + 2, 1::2] += jac[1] - beta * u ** 2
+            _, _, step, info = dgbsv(2, 2, ab, res, overwrite_ab=1)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+        lam = 1.0
+        for _ in range(30):
+            trial = tuple(y.copy() for y in ys)
+            for k, t in enumerate(trial):
+                t[:N] -= lam * step[k::c]
+            tres = residual(trial)
+            if float(np.linalg.norm(tres)) < rn:
+                ys, res = trial, tres
+                break
+            lam *= 0.5
+        else:
+            break
+    return ys

@@ -343,6 +343,21 @@ def test_unallocatable_grid_exits_1(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("coupled", "beta", "1" + "0" * 400),
+    ("sweep", "beta_list", "[0.5, " + "1" + "0" * 400 + "]"),
+])
+def test_beta_past_the_float_range_exits_1(command, key, value, tmp_path):
+    # an int too large for a float is a config error, not a traceback
+    conf = write_conf(tmp_path / "big.conf",
+                      f"f.family = cubic\ngrid.N = 400\n{key} = {value}\n")
+    proc = subprocess.run([sys.executable, "-m", "nlsground", command, conf],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"config error: {key}: int too large")
+    assert "Traceback" not in proc.stderr
+
+
 def test_module_entrypoint(tmp_path):
     conf = write_conf(tmp_path / "s.conf", f"""
 f.family = cubic

@@ -110,6 +110,11 @@ def test_distinct_g_family():
                  "^f: int too large", id="f.terms-int-past-float"),
     pytest.param(f"f.family = cubic\ngrid.R = 1{'0' * 400}\n",
                  "^grid: int too large", id="grid.R-int-past-float"),
+    pytest.param("f.family = cubic\nbeta = " + "1" + "0" * 400 + "\n",
+                 "^beta: int too large", id="beta-int-past-float"),
+    pytest.param("f.family = cubic\nbeta_list = [0.5, " + "1" + "0" * 400
+                 + "]\n", "^beta_list: int too large",
+                 id="beta_list-int-past-float"),
     # 10**15 nodes exceed any address space: the allocation fails before
     # anything is allocated, and that is a config error too
     pytest.param("f.family = cubic\ngrid.N = 1000000000000000\n",

@@ -398,16 +398,16 @@ def test_descend_rejects_overflowing_potential(monkeypatch, cubic_nl):
     # lowest Φ seen
     g = RadialGrid(R=20.0, N=400)
     w = solve_scalar(cubic_nl, g).profile.values
-    real = energy_mod.eval_F
+    real = energy_mod._potential
 
-    def overflowing(nl, t):
-        out = real(nl, t)
+    def overflowing(nl, t, *buffers):
+        out = real(nl, t, *buffers)
         if np.max(np.abs(t)) > 0.51 * w[0]:
             out = np.array(out, dtype=float)
             out[1:] = np.inf
         return out
 
-    monkeypatch.setattr(energy_mod, "eval_F", overflowing)
+    monkeypatch.setattr(energy_mod, "_potential", overflowing)
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     half = Profile(g, 0.5 * w)
     (u, v), _, _ = coupled_mod._descend(g, (half.values, half.values), params,

@@ -16,13 +16,16 @@ from nlsground.energy import (INDEX_TOL, EnergyParams, energy_I,
                               energy_report, first_variation, morse_index,
                               pohozaev_J, project_pohozaev, projected_energy,
                               residuals)
-from nlsground.errors import NoProjection, ZeroState
+from nlsground.errors import NoProjection, NumericalError, ZeroState
 from nlsground.grid import (Profile, RadialGrid, State, dilate, integrate,
                             kinetic, laplacian)
 from nlsground.nonlinearity import (cubic, eval_df, eval_f, log_enhanced,
                                     power_sum)
 from conftest import (AMP3_PROJECTED, AMP3_TBAR, GAUSS_INT, GAUSS_NARROW_INT,
-                      GAUSS_R2_INT, gaussian_bumps, reference_morse_index)
+                      GAUSS_R2_INT, gaussian_bumps, reference_descend,
+                      reference_morse_index, reference_newton,
+                      reference_phi_gradient, reference_terms,
+                      reference_variation)
 
 
 def _gauss_state(grid, amp=1.0):
@@ -511,3 +514,58 @@ def test_zero_pivot_counts_once(dense, kd, want):
     # the count reads the factor pbtrf returns: a C-ordered band is copied
     assert energy_mod._count_nonpositive_pivots(
         np.ascontiguousarray(_band(dense, kd))) == want
+
+
+def _same_bits(got, want):
+    """Equal node arrays, bit for bit, component by component."""
+    return len(got) == len(want) and all(
+        g.shape == w.shape and np.array_equal(g.view(np.uint64),
+                                              w.view(np.uint64))
+        for g, w in zip(got, want))
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of the exception it raises."""
+    try:
+        return fn(*args)
+    except (NumericalError, ZeroState, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), bumps=st.tuples(
+           st.integers(1, 2), st.integers(0, 2)),
+       beta=st.floats(0.0, 3.0),
+       which=st.tuples(st.integers(0, len(_CATALOG) - 1),
+                       st.integers(0, len(_CATALOG) - 1)),
+       N=st.sampled_from([64, 200]))
+@example(seed=1, bumps=(2, 2), beta=2.0, which=(2, 0), N=200)
+@example(seed=2, bumps=(1, 0), beta=0.0, which=(1, 1), N=64)
+def test_operator_matches_the_fresh_array_reference(seed, bumps, beta, which,
+                                                    N):
+    # the kernels that evaluate each state once in reused buffers agree
+    # bitwise with the forms that build every array afresh, on one- and
+    # two-component states (no v bumps: the one component) over the catalog
+    g = RadialGrid(R=20.0, N=N)
+    rng = np.random.default_rng(seed)
+    ys = tuple(gaussian_bumps(g, rng, n) for n in bumps if n)
+    params = EnergyParams(_CATALOG[which[0]], _CATALOG[which[1]], beta)
+    K, W = energy_mod._terms(g, ys, params)
+    assert (K, W) == reference_terms(g, ys, params)
+    assert _same_bits(energy_mod._variation(g, ys, params),
+                      reference_variation(g, ys, params))
+    if coupled_mod._phi_value(K, W) < math.inf:
+        assert _same_bits(coupled_mod._phi_gradient(g, ys, params, K, W),
+                          reference_phi_gradient(g, ys, params, K, W))
+    got = _outcome(coupled_mod._descend, g, ys, params, coupled_mod.ROUND)
+    want = _outcome(reference_descend, g, ys, params, coupled_mod.ROUND)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert _same_bits(got[0], want[0]) and got[1:] == want[1:]
+    got = _outcome(energy_mod.newton, g, ys, params)
+    want = _outcome(reference_newton, g, ys, params)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert _same_bits(got, want)
