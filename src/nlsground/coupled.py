@@ -85,6 +85,7 @@ CERT_TOL = 1e-6        # |J| and |I − K/3| against 1 + K
 CERT_RESIDUAL = 1e-5   # each relative PDE residual
 TIE_REL = 1e-12        # candidate energies this close count as equal
 ROUND = 20             # descent iterations between Newton handoffs
+VESTIGE_TOL = 1e-6     # L² norm of a vestigial component against the H¹ norm
 
 
 class Kind(enum.Enum):
@@ -116,7 +117,7 @@ class GroundState:
     iterations: int
 
 
-def classify(state: State, tol: float = 1e-6) -> Kind:
+def classify(state: State) -> Kind:
     """scalar_u / scalar_v when one component is vestigial, vector otherwise."""
     gr = state.grid
     u = state.u.values
@@ -127,9 +128,9 @@ def classify(state: State, tol: float = 1e-6) -> Kind:
         raise ZeroState("cannot classify the zero state")
     total = math.sqrt(kinetic(state.u) + kinetic(state.v)
                       + nu * nu + nv * nv)
-    if nv <= tol * total:
+    if nv <= VESTIGE_TOL * total:
         return Kind.SCALAR_U
-    if nu <= tol * total:
+    if nu <= VESTIGE_TOL * total:
         return Kind.SCALAR_V
     return Kind.VECTOR
 

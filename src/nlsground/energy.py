@@ -21,17 +21,17 @@ one or two node arrays: (u, v) for the coupled system, (w,) for the scalar
 equation, which is the coupled one at v = 0 and β = 0 with the absent
 component's terms dropped.  The β·u²v² coupling is present only when there
 are two.  Both linear-algebra kernels hand LAPACK a band in its own
-Fortran storage: `gbsv` for the coupled Newton step and `pbtrf` for the
-index.  `nlsground.coupled.certify` judges its states.
+Fortran storage: `gbsv` for the Newton step and `pbtrf` for the index.
+`nlsground.coupled.certify` judges its states.
 
 A state is evaluated in a `_Work`, buffers allocated once per call: `_form`
 writes each component's Δy, y² and nonlinearity piece there, `_terms` and
 `_variation` read them, and a `_Point` (the node arrays tagged with their
 work) lets `_variation` reuse what `_terms` formed at the same state.  The
-descent, `newton`, the projection and `morse_index` each allocate their
-works once.  The rounding is that of the forms that build every array
-afresh, which `tests/conftest.py` keeps: the same operations in the same
-order, less products by 1 and |y|² read as y·y, which are exact.
+descent, `newton` and the projection each allocate their works once.  The
+rounding is that of the forms that build every array afresh, which
+`tests/conftest.py` keeps: the same operations in the same order, less
+products by 1 and |y|² read as y·y, which are exact.
 """
 from __future__ import annotations
 
@@ -39,14 +39,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv, dpbtrf
 
 from .errors import NoProjection, ZeroState
 from .grid import (Profile, State, _flux_laplacian, dilate_values, integrate,
                    kinetic)
 from .nonlinearity import (Nonlinearity, _force, _potential, _shared,
-                           _shared_buffers, _stiffness)
+                           _shared_buffers, _stiffness, eval_df)
 from .nonlinearity import eval_F, eval_f  # noqa: F401  bound for perfbench tracer.PLAN
 
 __all__ = [
@@ -262,26 +261,15 @@ def morse_index(grid, ys, params: EnergyParams) -> int:
     # pbtrf's lower band storage, Fortran-ordered: A[j + k, j] is row k
     band = np.zeros((c + 1, n), order="F")
     band[c, :n - c] = np.repeat(w[:-1] * upper[1:], c)  # node i to node i+1
-    # the pivots on all nodes, in whole lines, of which 1..N−1 are read
-    work = _Work(grid, params, c)
-    tmp = (work.t1, work.t2, work.t3)
     shift = 1.0 + INDEX_TOL
-    for k, (y, nl, out) in enumerate(zip(ys, (params.f, params.g),
-                                         (work.P, work.M))):
-        y2 = np.multiply(y, y, out=work.y2[k])
-        pivot = _stiffness(nl, y, y2, _shared(nl, y, y2, work.shared[k]), out,
-                           tmp)
-        np.subtract(shift, pivot, out=pivot)
+    for k, (y, nl) in enumerate(zip(ys, (params.f, params.g))):
+        pivot = shift - eval_df(nl, y)
         if c == 2:
-            pull = np.multiply(beta, ys[1 - k], out=work.t1)
-            pull *= ys[1 - k]
-            pivot -= pull
+            pivot -= beta * ys[1 - k] * ys[1 - k]
         pivot *= grid.w
         np.add(stiff, pivot[1:N], out=band[0, k::c])
     if c == 2:
-        cross = np.multiply(-2.0 * beta, grid.w, out=work.t1)
-        cross *= ys[0]
-        cross *= ys[1]
+        cross = -2.0 * beta * grid.w * ys[0] * ys[1]
         band[1, 0::2] = cross[1:N]          # u to v at one node
     return _count_nonpositive_pivots(band)
 
@@ -349,28 +337,26 @@ def newton(grid, ys, params: EnergyParams):
 
     The unknowns are nodes 0..N-1 of the c components, interleaved (unknown
     c·i + k is component k at node i) so that the Jacobian of `_variation`
-    is banded (c, c): pentadiagonal for (u, v), tridiagonal for (w,).  The
-    pentadiagonal step is LAPACK `gbsv` on a band built in its own
-    Fortran-ordered storage, which f2py passes without a transposed copy;
-    the tridiagonal one is `solve_banded`, whose `gtsv` is faster there.
-    Node N keeps the Dirichlet zero it comes with.  It runs to the roundoff
-    floor of the residual (the 1/h² stencil amplifies cancellation noise,
-    so no fixed absolute target is safe); the caller certifies the result.
-    Returns a tuple of the polished arrays.
+    is banded (c, c): pentadiagonal for (u, v), tridiagonal for (w,).  Each
+    step is LAPACK `gbsv` on a band built in its own Fortran-ordered
+    storage, which f2py passes without a transposed copy.  Node N keeps the
+    Dirichlet zero it comes with.  It runs to the roundoff floor of the
+    residual (the 1/h² stencil amplifies cancellation noise, so no fixed
+    absolute target is safe); the caller certifies the result.  Returns a
+    tuple of the polished arrays; the caller's `ys` is never written.
     """
     N = grid.N
     c = len(ys)
     n = c * N
     beta = params.beta
     # the Laplacian part of the Jacobian does not change between steps;
-    # A[i, j] is row top + c + i − j, below gbsv's c rows of fill-in
-    top = 0 if c == 1 else c
+    # A[i, j] is row 2c + i − j, below gbsv's c rows of fill-in
     diag, upper, lower = _laplacian_band(grid)
-    lap = np.zeros((top + 2 * c + 1, n), order="C" if c == 1 else "F")
+    lap = np.zeros((3 * c + 1, n), order="F")
     for k in range(c):
-        lap[top + c, k::c] = diag               # A[ci+k, ci+k]
-        lap[top, c + k::c] = upper              # A[ci+k, c(i+1)+k]
-        lap[top + 2 * c, k:n - c:c] = lower     # A[c(i+1)+k, ci+k]
+        lap[2 * c, k::c] = diag                 # A[ci+k, ci+k]
+        lap[c, c + k::c] = upper                # A[ci+k, c(i+1)+k]
+        lap[3 * c, k:n - c:c] = lower           # A[c(i+1)+k, ci+k]
 
     ab = np.empty_like(lap)
 
@@ -379,13 +365,8 @@ def newton(grid, ys, params: EnergyParams):
             out[k::c] = r[:N]
         return out
 
-    # the iterate and the trial step alternate between two sets of arrays;
-    # the caller's `ys` is never written
     cur = _Point(ys, _Work(grid, params, c))
     spare = _Work(grid, params, c, share=cur.work)
-    arrays = _carve(N + 1, 2 * c + 1)
-    sets, shift = [tuple(arrays[:c]), tuple(arrays[c:2 * c])], arrays[-1][:N]
-    nxt = 0
     res, tres = _carve(n, 2)
     res = residual(cur, res)
     for _ in range(NEWTON_MAX_ITER):
@@ -402,33 +383,27 @@ def newton(grid, ys, params: EnergyParams):
                            out=out)[:N]
                for k, (y, nl, out) in enumerate(zip(cur, (params.f, params.g),
                                                     (work.P, work.M)))]
-        if c == 1:
-            ab[1] += jac[0]
-            step = solve_banded((1, 1), ab, res, overwrite_b=True)
-        else:
+        if c == 2:
             u, v = cur[0][:N], cur[1][:N]
             cross = np.multiply(-2.0 * beta, u, out=work.t1[:N])
             cross *= v
-            ab[top + 1, 1::2] = cross           # A[2i, 2i+1]
-            ab[top + 3, 0:n - 1:2] = cross      # A[2i+1, 2i]
+            ab[3, 1::2] = cross                 # A[2i, 2i+1]
+            ab[5, 0:n - 1:2] = cross            # A[2i+1, 2i]
             for k, j in enumerate(jac):
                 j -= np.multiply(beta, work.y2[1 - k][:N], out=work.t2[:N])
-                ab[top + 2, k::2] += j
-            _, _, step, info = dgbsv(2, 2, ab, res, overwrite_ab=1,
-                                     overwrite_b=1)
-            if info > 0:
-                raise np.linalg.LinAlgError("singular matrix")
+        for k, j in enumerate(jac):
+            ab[2 * c, k::c] += j
+        _, _, step, info = dgbsv(c, c, ab, res, overwrite_ab=1, overwrite_b=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
         lam = 1.0
         for _ in range(30):
-            trial = _Point(sets[nxt], spare)
-            for k, (y, t) in enumerate(zip(cur, trial)):
-                np.subtract(y[:N], np.multiply(lam, step[k::c], out=shift),
-                            out=t[:N])
-                t[N] = y[N]
+            trial = _Point([np.append(y[:N] - lam * step[k::c], y[N])
+                            for k, y in enumerate(cur)], spare)
             residual(trial, tres)
             if float(np.linalg.norm(tres)) < rn:
                 # the next step's residual and the pieces it formed
-                spare, cur, nxt = cur.work, trial, 1 - nxt
+                spare, cur = cur.work, trial
                 res, tres = tres, step
                 break
             lam *= 0.5

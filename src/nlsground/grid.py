@@ -144,24 +144,6 @@ def kinetic(p: Profile) -> float:
     return float(p.grid.flux @ (du * du))
 
 
-def laplacian(grid: RadialGrid, p: Profile) -> np.ndarray:
-    """Pointwise radial Laplacian u'' + (2/r) u' (central stencil).
-
-    The r = 0 entry uses the symmetry limit 6 (u_1 - u_0) / h^2; the r = R
-    entry uses a ghost value 0 beyond the truncation radius.  Second-order
-    accurate at every node, exact on quadratics.
-    """
-    u = p.values
-    h = grid.h
-    out = np.empty_like(u)
-    out[0] = 6.0 * (u[1] - u[0]) / h ** 2
-    upp = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
-    up = (u[2:] - u[:-2]) / (2.0 * h)
-    out[1:-1] = upp + 2.0 / grid.r[1:-1] * up
-    out[-1] = (u[-2] - 2.0 * u[-1]) / h ** 2 + (0.0 - u[-2]) / (grid.R * h)
-    return out
-
-
 def flux_laplacian_interior(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     """Flux-form Laplacian at nodes 1..N-1 (exact adjoint of `kinetic`).
 

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv
 
 import nlsground.coupled as coupled_mod
@@ -77,6 +76,25 @@ def gaussian_bumps(grid, rng, n, amp=(0.3, 3.0), width=(0.5, 3.0),
         vals += a * np.exp(-((grid.r - c) ** 2) / (2 * s * s))
     vals[-1] = 0.0
     return vals
+
+
+def laplacian(grid, p) -> np.ndarray:
+    """Pointwise radial Laplacian u'' + (2/r) u' (central stencil).
+
+    The independent reference for the package's flux-form Laplacian.  The
+    r = 0 entry uses the symmetry limit 6 (u_1 - u_0) / h^2; the r = R
+    entry uses a ghost value 0 beyond the truncation radius.  Second-order
+    accurate at every node, exact on quadratics.
+    """
+    u = p.values
+    h = grid.h
+    out = np.empty_like(u)
+    out[0] = 6.0 * (u[1] - u[0]) / h ** 2
+    upp = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
+    up = (u[2:] - u[:-2]) / (2.0 * h)
+    out[1:-1] = upp + 2.0 / grid.r[1:-1] * up
+    out[-1] = (u[-2] - 2.0 * u[-1]) / h ** 2 + (0.0 - u[-2]) / (grid.R * h)
+    return out
 
 
 def reference_morse_index(grid, ys, params) -> int:
@@ -215,13 +233,12 @@ def reference_newton(grid, ys, params):
     c = len(ys)
     n = c * N
     beta = params.beta
-    top = 0 if c == 1 else c
     diag, upper, lower = energy_mod._laplacian_band(grid)
-    lap = np.zeros((top + 2 * c + 1, n), order="C" if c == 1 else "F")
+    lap = np.zeros((3 * c + 1, n), order="F")
     for k in range(c):
-        lap[top + c, k::c] = diag
-        lap[top, c + k::c] = upper
-        lap[top + 2 * c, k:n - c:c] = lower
+        lap[2 * c, k::c] = diag
+        lap[c, c + k::c] = upper
+        lap[3 * c, k:n - c:c] = lower
 
     def residual(trial):
         res = np.empty(n)
@@ -237,19 +254,17 @@ def reference_newton(grid, ys, params):
             break
         ab = lap.copy(order="K")
         jac = [1.0 - eval_df(nl, y[:N]) for y, nl in zip(ys, (params.f, params.g))]
-        if c == 1:
-            ab[1] += jac[0]
-            step = solve_banded((1, 1), ab, res)
-        else:
+        if c == 2:
             u, v = ys[0][:N], ys[1][:N]
             cross = -2.0 * beta * u * v
-            ab[top + 1, 1::2] = cross
-            ab[top + 3, 0:n - 1:2] = cross
-            ab[top + 2, 0::2] += jac[0] - beta * v ** 2
-            ab[top + 2, 1::2] += jac[1] - beta * u ** 2
-            _, _, step, info = dgbsv(2, 2, ab, res, overwrite_ab=1)
-            if info > 0:
-                raise np.linalg.LinAlgError("singular matrix")
+            ab[3, 1::2] = cross
+            ab[5, 0:n - 1:2] = cross
+            jac = [jac[0] - beta * v ** 2, jac[1] - beta * u ** 2]
+        for k, j in enumerate(jac):
+            ab[2 * c, k::c] += j
+        _, _, step, info = dgbsv(c, c, ab, res, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
         lam = 1.0
         for _ in range(30):
             trial = tuple(y.copy() for y in ys)

@@ -18,14 +18,14 @@ from nlsground.energy import (INDEX_TOL, EnergyParams, energy_I,
                               residuals)
 from nlsground.errors import NoProjection, NumericalError, ZeroState
 from nlsground.grid import (Profile, RadialGrid, State, dilate, integrate,
-                            kinetic, laplacian)
+                            kinetic)
 from nlsground.nonlinearity import (cubic, eval_df, eval_f, log_enhanced,
                                     power_sum)
 from conftest import (AMP3_PROJECTED, AMP3_TBAR, GAUSS_INT, GAUSS_NARROW_INT,
-                      GAUSS_R2_INT, gaussian_bumps, reference_descend,
-                      reference_morse_index, reference_newton,
-                      reference_phi_gradient, reference_terms,
-                      reference_variation)
+                      GAUSS_R2_INT, gaussian_bumps, laplacian,
+                      reference_descend, reference_morse_index,
+                      reference_newton, reference_phi_gradient,
+                      reference_terms, reference_variation)
 
 
 def _gauss_state(grid, amp=1.0):

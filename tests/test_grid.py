@@ -8,11 +8,10 @@ import pytest
 from nlsground.errors import GridMismatch, LengthMismatch, NonpositiveDilation
 from nlsground.grid import (Profile, RadialGrid, State, dilate,
                             flux_laplacian_interior, integrate, kinetic,
-                            laplacian, read_state_csv, rearrange,
-                            state_from_csv, write_profile_csv,
-                            write_state_csv)
+                            read_state_csv, rearrange, state_from_csv,
+                            write_profile_csv, write_state_csv)
 from conftest import (GAUSS_INT, GAUSS_NARROW_INT, GAUSS_R2_INT,
-                      gaussian_bumps)
+                      gaussian_bumps, laplacian)
 
 
 def test_grid_construction_and_validation():

@@ -198,13 +198,14 @@ def test_scalar_solve_matches_the_pair_pipeline(grid, nl):
 
 def test_scalar_newton_solves_tridiagonal_systems(monkeypatch, grid, cubic_nl):
     shapes = []
-    real = energy_mod.solve_banded
+    real = energy_mod.dgbsv
 
-    def spy(l_and_u, ab, b, *args, **kwargs):
-        shapes.append((tuple(l_and_u), ab.shape, b.shape))
-        return real(l_and_u, ab, b, *args, **kwargs)
+    def spy(kl, ku, ab, b, *args, **kwargs):
+        shapes.append(((kl, ku), ab.shape, b.shape))
+        return real(kl, ku, ab, b, *args, **kwargs)
 
-    monkeypatch.setattr(energy_mod, "solve_banded", spy)
+    monkeypatch.setattr(energy_mod, "dgbsv", spy)
     solve_scalar(cubic_nl, grid)
     assert shapes
-    assert set(shapes) == {((1, 1), (3, grid.N), (grid.N,))}
+    # gbsv's band for (kl, ku) = (1, 1): one row of fill-in above the three
+    assert set(shapes) == {((1, 1), (4, grid.N), (grid.N,))}
