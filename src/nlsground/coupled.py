@@ -62,9 +62,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
+from ._lapack import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
 from .energy import (EnergyParams, EnergyReport, _carve, _cone_terms,
                      _laplacian_band, _phi_value, _Point, _terms, _variation,
                      _Work, energy_I, energy_report, morse_index, newton,

@@ -39,8 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dpbtrf
 
+from ._lapack import dgbsv, dpbtrf
 from .errors import NoProjection, ZeroState
 from .grid import (Profile, State, _flux_laplacian, dilate_values, integrate,
                    kinetic)

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
 
 from . import coupled
+from ._lapack import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
 from .energy import (EnergyParams, _project, energy_I, morse_index, newton,
                      residuals)
 from .errors import (Blowup, BracketFailure, NoConvergence,
