@@ -51,9 +51,8 @@ definite, so it is factored once per round without pivoting (LAPACK
 per component).  Each point of a round is evaluated once: the iterate
 and the Armijo trial are two `nlsground.energy._Point`s swapped on
 acceptance, the gradient reads what the accepted trial's `_terms`
-formed, and G, the step D and the `pttrs` right-hand side are allocated
-once per round.  A judged state's (K, W) are formed once too: `_judge`
-takes the action of a state that settles without dilating from them.
+formed.  A judged state's (K, W) are formed once too: `_judge` takes
+the action of a state that settles without dilating from them.
 """
 from __future__ import annotations
 
@@ -197,21 +196,12 @@ def _factor_preconditioner(grid):
     return w, d, e
 
 
-def _precondition(factors, gs, out=None, rhs=None):
-    """Solve (I − Δ_h) d = g for each component as W(I − Δ_h) d = W g.
-
-    `out` (components × nodes) receives d and `rhs` (components × interior
-    nodes) the right-hand side; each is allocated when not given.
-    """
+def _precondition(factors, gs):
+    """Solve (I − Δ_h) d = g for each component as W(I − Δ_h) d = W g."""
     w, dd, e = factors
-    c, size = len(gs), gs[0].size
-    if out is None:
-        out = np.empty((c, size))
-    if rhs is None:
-        rhs = np.empty((c, size - 2))
-    for row, g in zip(rhs, gs):
-        np.multiply(w, g[1:-1], out=row)
+    rhs = np.array([w * g[1:-1] for g in gs])
     x, _ = dpttrs(dd, e, rhs.T, overwrite_b=1)   # rhs.T is Fortran-ordered
+    out = np.empty((len(gs), gs[0].size))
     out[:, 1:-1] = x.T
     out[:, 0] = out[:, 1]
     out[:, -1] = 0.0
@@ -219,14 +209,15 @@ def _precondition(factors, gs, out=None, rhs=None):
 
 
 def _descend(grid, ys, params: EnergyParams, max_iters: int):
-    """One round of Armijo descent on Φ; returns (ys, iterations, grad).
+    """One round of Armijo descent on Φ; returns (ys, iterations).
 
     Runs on the node arrays `ys`, (u, v) or (w,), from a start on the cone
     (else `_cone_terms` raises) and never leaves it.  Stops after
     `max_iters` iterations, or when no backtracked step decreases enough;
-    `grad` is the last weighted ‖G‖.  The iterate and the Armijo trial are
-    two `_Point`s, swapped on acceptance, so each state is evaluated once:
-    its gradient reuses what its trial's `_terms` formed.
+    a gradient G that is not finite raises `NoConvergence`.  The iterate
+    and the Armijo trial are two `_Point`s, swapped on acceptance, so each
+    state is evaluated once: its gradient reuses what its trial's `_terms`
+    formed.
     """
     c, size = len(ys), grid.N + 1
     *arrays, prod = _carve(size, 2 * c + 1)
@@ -238,18 +229,12 @@ def _descend(grid, ys, params: EnergyParams, max_iters: int):
     K, W = _cone_terms(grid, cur, params)
     phi = _phi_value(K, W)
     factors = _factor_preconditioner(grid)
-    d, rhs = np.empty((c, size)), np.empty((c, size - 2))
     it = 0
-    gnorm = math.inf
     while it < max_iters:
         gs = _phi_gradient(grid, cur, params, K, W)
-        gnorm = math.sqrt(float(sum(grid.w @ np.multiply(g, g, out=prod)
-                                    for g in gs)))
-        # ‖G‖ is not finite when G is not, or when G·G overflows: scan then
-        if not math.isfinite(gnorm) and not all(np.isfinite(g).all()
-                                                for g in gs):
+        if not all(np.isfinite(g).all() for g in gs):
             raise NoConvergence(f"non-finite descent gradient at iteration {it}")
-        ds = _precondition(factors, gs, d, rhs)
+        ds = _precondition(factors, gs)
         slope = float(sum(grid.w @ np.multiply(g, dk, out=prod)
                           for g, dk in zip(gs, ds)))
         it += 1
@@ -266,7 +251,7 @@ def _descend(grid, ys, params: EnergyParams, max_iters: int):
             s *= BACKTRACK
         else:
             break   # no Armijo step
-    return tuple(cur), it, gnorm
+    return tuple(cur), it
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +357,7 @@ def _run_start(init: State, params: EnergyParams, max_iters: int):
     last = None
     while True:
         budget = min(ROUND, max_iters - done)
-        (u, v), iters, _ = _descend(gr, state.values, params, budget)
+        (u, v), iters = _descend(gr, state.values, params, budget)
         done += iters
         state, _ = project_pohozaev(State(Profile(gr, u), Profile(gr, v)),
                                     params)

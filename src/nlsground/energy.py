@@ -218,7 +218,7 @@ def _variation(grid, ys, params: EnergyParams, a: float = 1.0, b: float = 1.0,
         lap *= -a
         source *= b
         lap += source[1:-1]
-        var[0] = -a * 6.0 * (y[1] - y[0]) / grid.h ** 2 + source[0]
+        var[0] = -a * 6.0 * (y[1] - y[0]) / grid.r[1] ** 2 + source[0]
         var[-1] = 0.0
     return tuple(work.var)
 
@@ -227,10 +227,10 @@ def _laplacian_band(grid):
     """Bands of −Δ_h on nodes 0..N−1: (row i at node i, at i+1, row i+1 at i)."""
     fc, w, N = grid.flux, grid.w, grid.N
     diag = np.empty(N)
-    diag[0] = 6.0 / grid.h ** 2
+    diag[0] = 6.0 / grid.r[1] ** 2
     diag[1:] = (fc[1:N] + fc[0:N - 1]) / w[1:N]
     upper = np.empty(N - 1)
-    upper[0] = -6.0 / grid.h ** 2
+    upper[0] = -6.0 / grid.r[1] ** 2
     upper[1:] = -fc[1:N - 1] / w[1:N - 1]
     return diag, upper, -fc[0:N - 1] / w[1:N]
 

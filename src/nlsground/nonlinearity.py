@@ -33,8 +33,10 @@ LOG_ENHANCED = "log_enhanced"
 # inf_t f(t)t/F(t) >= 2 + AR_MARGIN over the sampled range.
 AR_MARGIN = 0.05
 # The AR infimum is an asymptotic quantity; the scan always extends
-# logarithmically out to this horizon regardless of the user's t_max.
+# logarithmically out to this horizon, past the linear samples' range.
 AR_HORIZON = 1.0e9
+# `check_assumptions` samples (0, SAMPLE_T_MAX] at SAMPLE_COUNT points
+SAMPLE_T_MAX, SAMPLE_COUNT = 10.0, 400
 
 _EPS_GRID = (0.1, 0.01, 0.001)
 
@@ -222,7 +224,7 @@ class AssumptionReport:
     f3_ok: bool
     T1: float | None
     ar_ok: bool
-    mu: float            # certified inf of f(t)t/F(t) over the scan
+    mu: float            # inf of f(t)t/F(t) over the samples with F > 0
     ar_witness: tuple[float, float] | None   # (mu_required, t) when ar fails
     growth_constants: tuple[tuple[float, float, float, float], ...] = field(
         default=())
@@ -239,9 +241,7 @@ def _loglog_slope(t, ratio):
     return float((x * y).sum() / (x * x).sum())
 
 
-def check_assumptions(nl: Nonlinearity, p_test: float,
-                      sample_spec: tuple[float, int] = (10.0, 400),
-                      ) -> AssumptionReport:
+def check_assumptions(nl: Nonlinearity, p_test: float) -> AssumptionReport:
     """Certify (f1)-(f3) and the superquadraticity condition on samples.
 
     Parameters
@@ -249,9 +249,6 @@ def check_assumptions(nl: Nonlinearity, p_test: float,
     nl : Nonlinearity
     p_test : float
         Growth exponent to test against, in (1, 5).
-    sample_spec : (t_max, n_samples)
-        Range and resolution of the linear sampling used for the T1 scan
-        and the near-origin / large-argument ramps.
 
     Returns
     -------
@@ -264,15 +261,12 @@ def check_assumptions(nl: Nonlinearity, p_test: float,
     ratio), (f2) requires f(t)/t^p_test non-growing at infinity.  The
     superquadraticity infimum inf f(t)t/F(t) is scanned out to t = 1e9
     because it is an asymptotic quantity; ar_ok demands the infimum clear
-    2 by the margin 0.05.
+    2 by the margin 0.05, and F > 0 at every sample: else the least t
+    with F <= 0 is the witness.
     """
-    t_max, n_samples = float(sample_spec[0]), int(sample_spec[1])
+    t_max, n_samples = SAMPLE_T_MAX, SAMPLE_COUNT
     if not (1.0 < p_test < 5.0):
         raise InvalidExponent(f"p_test={p_test} outside (1, 5)")
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
 
     # (f1): f(t)/t -> 0 as t -> 0+.
     t_small = np.logspace(-8.0, 0.0, 65)
@@ -311,7 +305,10 @@ def check_assumptions(nl: Nonlinearity, p_test: float,
     else:
         mu = 0.0
         t_at_min = 0.0
-    ar_ok = mu >= 2.0 + AR_MARGIN
+    nonpositive = t_ar[Fv <= 0.0]    # F <= 0 at some t > 0 breaks AR outright
+    if nonpositive.size:
+        t_at_min = float(nonpositive.min())
+    ar_ok = mu >= 2.0 + AR_MARGIN and not nonpositive.size
     ar_witness = None if ar_ok else (2.0 + AR_MARGIN, t_at_min)
 
     # Growth constants for the subcritical and critical-power bounds.

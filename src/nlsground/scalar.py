@@ -227,8 +227,8 @@ def solve_scalar(nl: Nonlinearity, grid: RadialGrid) -> ScalarGroundState:
     """
     params = EnergyParams(nl, nl, 0.0)
     # through the module object, so the tracer's rebinding of it is seen
-    ys, _, _ = coupled._descend(grid, (_start(grid, params),), params,
-                                coupled.ROUND)
+    ys, _ = coupled._descend(grid, (_start(grid, params),), params,
+                             coupled.ROUND)
     (projected,), _ = _project(grid, ys, params)
     vals = _newton_polish(grid, projected, params)
     # a large w(0) (high power) means a core only a few h wide, which the

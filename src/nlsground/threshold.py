@@ -52,8 +52,7 @@ class SweepResult:
 
 
 def compare_energies(params: EnergyParams, u0: ScalarGroundState,
-                     v0: ScalarGroundState, grid: RadialGrid,
-                     ) -> tuple[float, float, bool]:
+                     v0: ScalarGroundState) -> tuple[float, float, bool]:
     """Upper bound for the ground energy from the scalar pair vs. scalar best.
 
     The pair (u₀, v₀) has W > 0 (each factor alone does), so its dilation
@@ -87,7 +86,7 @@ def sweep(params_base: EnergyParams, beta_list: list[float], grid: RadialGrid,
     rows: list[SweepRow] = []
     for beta in beta_list:
         params = EnergyParams(params_base.f, params_base.g, beta)
-        lhs, _, _ = compare_energies(params, base_u, base_v, grid)
+        lhs, _, _ = compare_energies(params, base_u, base_v)
         try:
             gs = solve_coupled(params, grid, cfg, baselines=(base_u, base_v))
         except NumericalError as exc:

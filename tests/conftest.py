@@ -203,12 +203,9 @@ def reference_descend(grid, ys, params, max_iters):
         raise NoProjection(f"K={K:.6g}, W={W:.6g}: off the cone 0 < W, t̄ < inf")
     factors = coupled_mod._factor_preconditioner(grid)
     it = 0
-    gnorm = math.inf
     while it < max_iters:
         gs = reference_phi_gradient(grid, ys, params, K, W)
-        gnorm = math.sqrt(float(sum(grid.w @ (g * g) for g in gs)))
-        if not math.isfinite(gnorm) and not all(np.isfinite(g).all()
-                                                for g in gs):
+        if not all(np.isfinite(g).all() for g in gs):
             raise NoConvergence(f"non-finite descent gradient at iteration {it}")
         ds = coupled_mod._precondition(factors, gs)
         slope = float(sum(grid.w @ (g * d) for g, d in zip(gs, ds)))
@@ -224,7 +221,7 @@ def reference_descend(grid, ys, params, max_iters):
             s *= coupled_mod.BACKTRACK
         else:
             break
-    return ys, it, gnorm
+    return ys, it
 
 
 def reference_newton(grid, ys, params):

@@ -207,10 +207,10 @@ def test_criterion_06_threshold_localization(capsys, grid):
     assert ok
 
 
-def test_criterion_07_pair_bound_curve(capsys, grid, cubic_scalar):
+def test_criterion_07_pair_bound_curve(capsys, cubic_scalar):
     betas = [0.25, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 10.0, 50.0]
     rows = [compare_energies(EnergyParams(cubic(), cubic(), b),
-                             cubic_scalar, cubic_scalar, grid)
+                             cubic_scalar, cubic_scalar)
             for b in betas]
     lhs = [row[0] for row in rows]
     decreasing = all(a > b for a, b in zip(lhs, lhs[1:]))

@@ -410,8 +410,8 @@ def test_descend_rejects_overflowing_potential(monkeypatch, cubic_nl):
     monkeypatch.setattr(energy_mod, "_potential", overflowing)
     params = EnergyParams(cubic_nl, cubic_nl, 2.0)
     half = Profile(g, 0.5 * w)
-    (u, v), _, _ = coupled_mod._descend(g, (half.values, half.values), params,
-                                        coupled_mod.ROUND)
+    (u, v), _ = coupled_mod._descend(g, (half.values, half.values), params,
+                                     coupled_mod.ROUND)
     st = State(Profile(g, u), Profile(g, v))
     assert math.isfinite(energy_report(st, params).W)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 from unittest import mock
 
@@ -21,6 +22,7 @@ from nlsground.grid import (Profile, RadialGrid, State, dilate, integrate,
                             kinetic)
 from nlsground.nonlinearity import (cubic, eval_df, eval_f, log_enhanced,
                                     power_sum)
+from nlsground.scalar import solve_scalar
 from conftest import (AMP3_PROJECTED, AMP3_TBAR, GAUSS_INT, GAUSS_NARROW_INT,
                       GAUSS_R2_INT, gaussian_bumps, laplacian,
                       reference_descend, reference_morse_index,
@@ -155,8 +157,8 @@ def test_projection_that_loses_the_cone_raises_no_projection():
     nl = power_sum([(0.6373, 4.2018), (0.6741, 3.3798)])
     g = RadialGrid(R=20.0, N=400)
     params = EnergyParams(nl, nl, 0.0)
-    (u, v), _, _ = coupled_mod._descend(g, _gauss_state(g, amp=2.0).values,
-                                        params, 50)
+    (u, v), _ = coupled_mod._descend(g, _gauss_state(g, amp=2.0).values,
+                                     params, 50)
     state = State(Profile(g, u), Profile(g, v))
     assert state.u.values[0] > 50.0
     assert projected_energy(state, params) < math.inf     # starts with W > 0
@@ -257,8 +259,8 @@ def test_newton_evaluates_each_point_once(monkeypatch, grid, cubic_nl,
     # and one per line-search trial, with iterates bitwise unchanged
     params = EnergyParams(cubic_nl, cubic_nl, 1.01)
     w = cubic_scalar.profile
-    ys, _, _ = coupled_mod._descend(grid, (w.values, w.values), params,
-                                    coupled_mod.ROUND)
+    ys, _ = coupled_mod._descend(grid, (w.values, w.values), params,
+                                 coupled_mod.ROUND)
     (u0, v0), _ = energy_mod._project(grid, ys, params)
     want_u, want_v, trials = _newton_reevaluating(grid, u0, v0, params)
     assert trials >= 2
@@ -522,6 +524,28 @@ def _same_bits(got, want):
         g.shape == w.shape and np.array_equal(g.view(np.uint64),
                                               w.view(np.uint64))
         for g, w in zip(got, want))
+
+
+def test_operator_reads_the_node_radii_not_the_spacing():
+    # node 0's symmetry-limit stencil reads r₁, which is h to the bit on a
+    # uniform grid: the operator's geometry is the nodes, weights and flux
+    g = RadialGrid(R=20.0, N=200)
+    blind = copy.copy(g)
+    blind.h = math.nan
+    assert g.r[1] == g.h
+    w = solve_scalar(cubic(), g).profile.values
+    beta = 1.5
+    a = 1.0 / math.sqrt(1.0 + beta)
+    params = EnergyParams(cubic(), cubic(), beta)
+    assert _same_bits(energy_mod._laplacian_band(blind),
+                      energy_mod._laplacian_band(g))
+    for ys in ((1.02 * w,), (1.01 * a * w, 0.99 * a * w)):
+        assert _same_bits(energy_mod._variation(blind, ys, params),
+                          energy_mod._variation(g, ys, params))
+        assert _same_bits(energy_mod.newton(blind, ys, params),
+                          energy_mod.newton(g, ys, params))
+        assert (morse_index(blind, ys, params)
+                == morse_index(g, ys, params))
 
 
 def _outcome(fn, *args):

@@ -168,19 +168,29 @@ def test_check_assumptions_log_family_fails_superquadraticity():
     assert t_at > 1e6
 
 
+def test_check_assumptions_fails_ar_where_F_is_not_positive():
+    # f = 2t³ − t² has F = t⁴/2 − t³/3 < 0 on (0, 2/3), so AR fails however
+    # far f(t)t/F(t) clears 2 where F > 0; the catalog admits no negative
+    # coefficient, hence the bypass
+    nl = power_sum([(2.0, 3.0), (1.0, 2.0)])
+    object.__setattr__(nl, "terms", ((2.0, 3.0), (-1.0, 2.0)))
+    rep = check_assumptions(nl, p_test=3.0)
+    assert not rep.ar_ok
+    assert rep.ar_witness == (2.0 + AR_MARGIN, pytest.approx(1e-4, rel=1e-12))
+    assert eval_F(nl, rep.ar_witness[1]) < 0.0
+    assert rep.mu == pytest.approx(4.0, rel=1e-6)      # over F > 0 only
+    assert rep.f1_ok and rep.f2_ok and rep.f3_ok
+
+
 def test_check_assumptions_rejects_bad_p_test():
     with pytest.raises(InvalidExponent):
         check_assumptions(cubic(), p_test=5.5)
-    with pytest.raises(ValueError):
-        check_assumptions(cubic(), p_test=3.0, sample_spec=(-1.0, 400))
-    with pytest.raises(ValueError):
-        check_assumptions(cubic(), p_test=3.0, sample_spec=(10.0, 10))
 
 
 def test_subquadratic_profile_fails_f3():
     # a single nearly-linear power has F(t) < t²/2 for small coefficients,
     # and the scan over (0, t_max] finds no superquadratic witness
     nl = power_sum([(1e-4, 1.1)])
-    rep = check_assumptions(nl, p_test=3.0, sample_spec=(10.0, 400))
+    rep = check_assumptions(nl, p_test=3.0)
     assert not rep.f3_ok
     assert rep.T1 is None

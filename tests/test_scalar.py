@@ -174,8 +174,8 @@ def _pair_pipeline(nl, g):
     runs them.  Returns the polished (w, S) and the projected round."""
     params = EnergyParams(nl, nl, 0.0)
     zero = np.zeros(g.N + 1)
-    (u, v), _, _ = coupled_mod._descend(g, (scalar_mod._start(g, params), zero),
-                                        params, coupled_mod.ROUND)
+    (u, v), _ = coupled_mod._descend(g, (scalar_mod._start(g, params), zero),
+                                     params, coupled_mod.ROUND)
     state, _ = project_pohozaev(State(Profile(g, u), Profile(g, v)), params)
     u, v = energy_mod.newton(g, state.values, params)
     return u, energy_I(State(Profile(g, u), Profile(g, v)), params), state
@@ -190,8 +190,8 @@ def test_scalar_solve_matches_the_pair_pipeline(grid, nl):
     assert abs(gs.action - s_ref) <= 1e-12 * abs(s_ref)
     # up to the polish the one-component arithmetic is the pair's, bitwise
     params = EnergyParams(nl, nl, 0.0)
-    ys, _, _ = coupled_mod._descend(grid, (scalar_mod._start(grid, params),),
-                                    params, coupled_mod.ROUND)
+    ys, _ = coupled_mod._descend(grid, (scalar_mod._start(grid, params),),
+                                 params, coupled_mod.ROUND)
     (one,), _ = energy_mod._project(grid, ys, params)
     assert np.array_equal(one, projected.u.values)
 

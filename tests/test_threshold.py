@@ -29,8 +29,7 @@ def mid_scalar(mid_grid):
 def test_compare_energies_against_raw_integrals(grid, cubic_scalar):
     beta = 2.0
     params = EnergyParams(cubic(), cubic(), beta)
-    lhs, rhs, beats = compare_energies(params, cubic_scalar, cubic_scalar,
-                                       grid)
+    lhs, rhs, beats = compare_energies(params, cubic_scalar, cubic_scalar)
     w = cubic_scalar.profile
     K = 2.0 * kinetic(w)
     M = 2.0 * integrate(grid, w.values ** 2)
@@ -43,28 +42,28 @@ def test_compare_energies_against_raw_integrals(grid, cubic_scalar):
     assert beats
 
 
-def test_pair_bound_decreases_with_coupling(grid, cubic_scalar):
+def test_pair_bound_decreases_with_coupling(cubic_scalar):
     values = []
     for beta in (0.5, 1.0, 2.0, 5.0):
         params = EnergyParams(cubic(), cubic(), beta)
-        lhs, _, _ = compare_energies(params, cubic_scalar, cubic_scalar, grid)
+        lhs, _, _ = compare_energies(params, cubic_scalar, cubic_scalar)
         values.append(lhs)
         # the bound can never undercut the true symmetric vector energy
         assert lhs > 2.0 * cubic_scalar.action / (1.0 + beta) - 1e-9
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_pair_bound_crossing_location(grid, cubic_scalar):
+def test_pair_bound_crossing_location(cubic_scalar):
     # sufficient condition only: the unoptimized pair overshoots near the
     # transition and only undercuts the scalar action somewhat later
     weak = compare_energies(EnergyParams(cubic(), cubic(), 0.01),
-                            cubic_scalar, cubic_scalar, grid)
+                            cubic_scalar, cubic_scalar)
     assert not weak[2]
     near = compare_energies(EnergyParams(cubic(), cubic(), 1.2),
-                            cubic_scalar, cubic_scalar, grid)
+                            cubic_scalar, cubic_scalar)
     assert not near[2]
     strong = compare_energies(EnergyParams(cubic(), cubic(), 2.0),
-                              cubic_scalar, cubic_scalar, grid)
+                              cubic_scalar, cubic_scalar)
     assert strong[2]
 
 
