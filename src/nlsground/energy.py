@@ -280,13 +280,14 @@ def _count_nonpositive_pivots(band) -> int:
     `band` is the lower triangle in LAPACK's Fortran band storage (row k
     the k-th subdiagonal, half-width kd = rows − 1); it is overwritten.
     pbtrf's Cholesky stops at the first pivot d ≤ 0 and leaves the Schur
-    complement of the rows before it in the trailing band.  The pivot is
-    eliminated here, which updates at most the next kd×kd block: d < 0 on
-    its own; d = 0 together with the first row m it couples to, a 2×2
-    pivot [[0, s], [s, a]] with one negative eigenvalue (as the −∞ pivot
-    that follows a zero one in an LDLᵀ recurrence), or on its own when it
-    couples to none.  pbtrf then restarts on the trailing band.  By
-    Sylvester's law the count is that of the eigenvalues ≤ 0.
+    complement of the rows before it in the trailing band.  One Schur step
+    on a dense copy of the next 3kd + 1 rows (those it updates, up to 2kd,
+    and their band) eliminates the pivot: d < 0 on its own; d = 0 with the
+    first row m it couples to, a 2×2 pivot [[0, s], [s, a]] with one
+    negative eigenvalue (the −∞ pivot that follows a zero one in LDLᵀ), or
+    alone, inverse 0, when it couples to none.  pbtrf restarts on the band
+    the result is written back to.  By Sylvester's law the count is that of
+    the eigenvalues ≤ 0.
     """
     kd = band.shape[0] - 1
     count = 0
@@ -296,34 +297,26 @@ def _count_nonpositive_pivots(band) -> int:
             break
         count += 1
         band = band[:, info - 1:]           # the trailing Schur complement
-        n = band.shape[1]
-        size = min(2 * kd + 1, n)           # the rows the elimination reads
-        diags = band[:, :size].tolist()
-
-        def entry(r, q):
-            r, q = max(r, q), min(r, q)
-            return diags[r - q][q] if r - q <= kd and r < n else 0.0
-
-        d = diags[0][0]
-        m = next((k for k in range(1, min(kd + 1, n)) if diags[k][0] != 0.0), 0)
-        if d < 0.0:
-            piv, inv = (0,), ((1.0 / d,),)
-        elif m:
-            s, a = entry(m, 0), entry(m, m)
-            piv, inv = (0, m), ((-a / s / s, 1.0 / s), (1.0 / s, 0.0))
+        size = min(3 * kd + 1, band.shape[1])
+        block = sum(np.diag(band[k, :size - k], -k)
+                    for k in range(min(kd + 1, size)))
+        block += np.tril(block, -1).T
+        d, coupled = block[0, 0], np.flatnonzero(block[0, 1:]) + 1
+        if d < 0.0 or not coupled.size:
+            piv, inv = [0], [[1.0 / d if d < 0.0 else 0.0]]
         else:
-            piv, inv = (0,), ((0.0,),)
-        # the rows left, renumbered from 0, with the band entries they keep
+            m = coupled[0]
+            s, a = block[m, 0], block[m, m]
+            piv, inv = [0, m], [[-a / s / s, 1.0 / s], [1.0 / s, 0.0]]
         rest = [r for r in range(size) if r not in piv]
-        rows = rest + list(range(size, size + kd))
-        head = np.zeros((kd + 1, len(rest)))
-        for i, r in enumerate(rest):
-            for k, q in enumerate(rows[i:i + kd + 1]):
-                head[k, i] = entry(q, r) - sum(
-                    entry(r, pa) * inv[a][b] * entry(q, pb)
-                    for a, pa in enumerate(piv) for b, pb in enumerate(piv))
-        band[:, len(piv):size] = head
+        cross = block[np.ix_(rest, piv)]
+        # Σ x_a·inv_ab·x_b, a then b: a matrix product rounds differently
+        schur = block[np.ix_(rest, rest)] - sum(
+            np.outer(cross[:, b], cross[:, a] * inv[a][b])
+            for a in range(len(piv)) for b in range(len(piv)))
         band = band[:, len(piv):]
+        for k in range(min(kd + 1, len(rest))):
+            band[k, :len(rest) - k] = np.diagonal(schur, -k)
     return count
 
 

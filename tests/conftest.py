@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dpbtrf
 
 import nlsground.coupled as coupled_mod
 import nlsground.energy as energy_mod
@@ -142,6 +142,53 @@ def reference_morse_index(grid, ys, params) -> int:
         elif a < 0.0:
             count += 2
         da, db, dc = a, b, c
+    return count
+
+
+def reference_pivot_count(band) -> int:
+    """`energy._count_nonpositive_pivots` with its restart done entry by entry.
+
+    After pbtrf stops at a pivot d ≤ 0, the band entries of the rows the
+    pivot updates are formed one at a time from Python floats, each the
+    entry less Σ x_a·inv_ab·x_b over the pivot rows a, b in that order.
+    The dense Schur step must give the same count.
+    """
+    kd = band.shape[0] - 1
+    count = 0
+    while band.shape[1]:
+        band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info == 0:
+            break
+        count += 1
+        band = band[:, info - 1:]
+        n = band.shape[1]
+        size = min(2 * kd + 1, n)           # the rows the elimination reads
+        diags = band[:, :size].tolist()
+
+        def entry(r, q):
+            r, q = max(r, q), min(r, q)
+            return diags[r - q][q] if r - q <= kd and r < n else 0.0
+
+        d = diags[0][0]
+        m = next((k for k in range(1, min(kd + 1, n)) if diags[k][0] != 0.0), 0)
+        if d < 0.0:
+            piv, inv = (0,), ((1.0 / d,),)
+        elif m:
+            s, a = entry(m, 0), entry(m, m)
+            piv, inv = (0, m), ((-a / s / s, 1.0 / s), (1.0 / s, 0.0))
+        else:
+            piv, inv = (0,), ((0.0,),)
+        # the rows left, renumbered from 0, with the band entries they keep
+        rest = [r for r in range(size) if r not in piv]
+        rows = rest + list(range(size, size + kd))
+        head = np.zeros((kd + 1, len(rest)))
+        for i, r in enumerate(rest):
+            for k, q in enumerate(rows[i:i + kd + 1]):
+                head[k, i] = entry(q, r) - sum(
+                    entry(r, pa) * inv[a][b] * entry(q, pb)
+                    for a, pa in enumerate(piv) for b, pb in enumerate(piv))
+        band[:, len(piv):size] = head
+        band = band[:, len(piv):]
     return count
 
 

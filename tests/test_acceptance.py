@@ -143,8 +143,8 @@ def _live_shooting_oracle() -> float:
         turned = lambda r, y: y[1]
         turned.terminal = True
         turned.direction = 1
-        sol = solve_ivp(rhs, (r0, 20.0), y0, rtol=1e-10, atol=1e-12,
-                        max_step=20.0 / 8000.0, events=(crossed, turned))
+        sol = solve_ivp(rhs, (r0, 20.0), y0, rtol=1e-12, atol=1e-14,
+                        events=(crossed, turned))
         if sol.t_events[0].size:
             return "crosses"
         if sol.t_events[1].size:
