@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dgbsv, dpbtrf
-from .errors import NoProjection, ZeroState
+from .errors import NoConvergence, NoProjection, ZeroState
 from .grid import (Profile, State, _flux_laplacian, dilate_values, integrate,
                    kinetic)
 from .nonlinearity import (Nonlinearity, _force, _potential, _shared,
@@ -336,7 +336,8 @@ def newton(grid, ys, params: EnergyParams):
     Dirichlet zero it comes with.  It runs to the roundoff floor of the
     residual (the 1/h² stencil amplifies cancellation noise, so no fixed
     absolute target is safe); the caller certifies the result.  Returns a
-    tuple of the polished arrays; the caller's `ys` is never written.
+    tuple of the polished arrays; the caller's `ys` is never written.  A
+    singular step raises `NoConvergence`.
     """
     N = grid.N
     c = len(ys)
@@ -388,7 +389,7 @@ def newton(grid, ys, params: EnergyParams):
             ab[2 * c, k::c] += j
         _, _, step, info = dgbsv(c, c, ab, res, overwrite_ab=1, overwrite_b=1)
         if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
+            raise NoConvergence(f"singular Newton step at pivot {info}")
         lam = 1.0
         for _ in range(30):
             trial = _Point([np.append(y[:N] - lam * step[k::c], y[N])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,6 @@ AR_MARGIN = 0.05
 AR_HORIZON = 1.0e9
 # `check_assumptions` samples (0, SAMPLE_T_MAX] at SAMPLE_COUNT points
 SAMPLE_T_MAX, SAMPLE_COUNT = 10.0, 400
-
-_EPS_GRID = (0.1, 0.01, 0.001)
 
 
 def _finite_real(x, what: str) -> float:
@@ -134,12 +132,9 @@ def _sum_terms(out, tmp, coefs, pieces, factor=None):
     if not pieces:
         out[...] = 0.0
     for k, (c, piece) in enumerate(zip(coefs, pieces)):
-        if c == 1.0 and factor is not None:     # 1·piece is piece to the bit
-            term = np.multiply(piece, factor, out=tmp if k else out)
-        else:
-            term = np.multiply(c, piece, out=tmp if k else out)
-            if factor is not None:
-                term *= factor
+        term = np.multiply(c, piece, out=tmp if k else out)
+        if factor is not None:
+            term *= factor
         if k:
             out += term
     return out
@@ -158,8 +153,6 @@ def _potential(nl: Nonlinearity, t, t2, shared, out, tmp):
 def _force(nl: Nonlinearity, t, t2, shared, out, tmp):
     """f from `_shared`'s piece into `out`; `tmp` holds two scratch arrays."""
     if nl.family == POWER_SUM:
-        if len(nl.terms) == 1:      # the one term times t is the sum times t
-            return _sum_terms(out, tmp[0], [nl.terms[0][0]], shared, t)
         _sum_terms(out, tmp[0], [a for a, _ in nl.terms], shared)
         return np.multiply(out, t, out=out)
     np.multiply(t, shared, out=out)
@@ -211,12 +204,7 @@ def eval_df(nl: Nonlinearity, t):
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of the sampled assumption checks, with reproducible witnesses.
-
-    ``growth_constants`` rows are (eps, C_f, C_F, C_Fstar): the clamped
-    suprema certifying |f| <= eps|t| + C_f |t|^p, |F| <= eps t^2 + C_F
-    |t|^(p+1), and the critical-power variant |F| <= eps t^2 + C_Fstar |t|^6.
-    """
+    """Outcome of the sampled assumption checks, with reproducible witnesses."""
 
     f1_ok: bool
     f2_ok: bool
@@ -226,8 +214,6 @@ class AssumptionReport:
     ar_ok: bool
     mu: float            # inf of f(t)t/F(t) over the samples with F > 0
     ar_witness: tuple[float, float] | None   # (mu_required, t) when ar fails
-    growth_constants: tuple[tuple[float, float, float, float], ...] = field(
-        default=())
 
 
 def _loglog_slope(t, ratio):
@@ -311,19 +297,7 @@ def check_assumptions(nl: Nonlinearity, p_test: float) -> AssumptionReport:
     ar_ok = mu >= 2.0 + AR_MARGIN and not nonpositive.size
     ar_witness = None if ar_ok else (2.0 + AR_MARGIN, t_at_min)
 
-    # Growth constants for the subcritical and critical-power bounds.
-    t_pos = np.concatenate([t_lin, np.logspace(-6.0, np.log10(t_max), 129)])
-    fa = np.abs(eval_f(nl, t_pos))
-    Fa = np.abs(eval_F(nl, t_pos))
-    rows = []
-    for eps in _EPS_GRID:
-        c_f = np.max(np.maximum(fa - eps * t_pos, 0.0) / t_pos ** p_test)
-        c_F = np.max(np.maximum(Fa - eps * t_pos ** 2, 0.0)
-                     / t_pos ** (p_test + 1.0))
-        c_Fs = np.max(np.maximum(Fa - eps * t_pos ** 2, 0.0) / t_pos ** 6)
-        rows.append((eps, float(c_f), float(c_F), float(c_Fs)))
-
     return AssumptionReport(
         f1_ok=bool(f1_ok), f2_ok=bool(f2_ok), p_test=p_test,
         f3_ok=bool(f3_ok), T1=T1, ar_ok=bool(ar_ok), mu=mu,
-        ar_witness=ar_witness, growth_constants=tuple(rows))
+        ar_witness=ar_witness)

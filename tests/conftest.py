@@ -308,7 +308,7 @@ def reference_newton(grid, ys, params):
             ab[2 * c, k::c] += j
         _, _, step, info = dgbsv(c, c, ab, res, overwrite_ab=1)
         if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
+            raise NoConvergence(f"singular Newton step at pivot {info}")
         lam = 1.0
         for _ in range(30):
             trial = tuple(y.copy() for y in ys)

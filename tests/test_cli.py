@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import nlsground.cli as cli
 import nlsground.coupled as coupled_mod
+import nlsground.energy as energy_mod
 from nlsground.cli import main
 from nlsground.errors import CertificationFailure
 from nlsground.grid import (Profile, RadialGrid, State, state_from_csv,
@@ -433,3 +434,16 @@ def test_coupled_cli_exits_cleanly(f, g, beta, N, invalid):
             return
         code, _, err = run_cli("check", conf, str(out / "state.csv"))
         assert code == 0, err
+
+
+def test_singular_newton_step_exits_2(monkeypatch, tmp_path):
+    monkeypatch.setattr(energy_mod, "dgbsv",
+                        lambda kl, ku, ab, b, *args, **kwargs: (ab, None, b, 1))
+    conf = write_conf(tmp_path / "s.conf", f"""
+f.family = cubic
+grid.N = 400
+output.dir = {tmp_path / 'out'}
+""")
+    code, _, err = run_cli("scalar", conf)
+    assert code == 2
+    assert "error: singular Newton step at pivot 1" in err

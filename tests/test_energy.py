@@ -613,3 +613,19 @@ def test_operator_matches_the_fresh_array_reference(seed, bumps, beta, which,
         assert got == want
     else:
         assert _same_bits(got, want)
+
+
+def test_action_minus_a_third_of_k_is_a_third_of_j():
+    # I = K/2 − W and J = K/2 − 3W, so I − K/3 = J/3: `certify`'s Pohozaev
+    # clause bounds |I − K/3| as well, up to a few ulps of K and W
+    g = RadialGrid(R=20.0, N=200)
+    rng = np.random.default_rng(27)
+    for f in _CATALOG:
+        for nl_v in _CATALOG:
+            for bumps in ((1, 0), (2, 0), (1, 1), (2, 2)):
+                u, v = (gaussian_bumps(g, rng, n) for n in bumps)
+                params = EnergyParams(f, nl_v, rng.uniform(0.0, 3.0))
+                rep = energy_report(State(Profile(g, u), Profile(g, v)),
+                                    params)
+                assert (abs((rep.I - rep.K / 3.0) - rep.J / 3.0)
+                        <= 8.0 * 2.0 ** -52 * (rep.K + abs(rep.W)))

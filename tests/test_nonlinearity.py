@@ -149,9 +149,6 @@ def test_check_assumptions_cubic():
     # f(t)t/F(t) = 4 identically for a pure cubic
     assert rep.mu == pytest.approx(4.0, rel=1e-12)
     assert rep.ar_ok
-    for eps, c_f, c_F, c_Fs in rep.growth_constants:
-        assert c_f >= 0.0 and c_F >= 0.0 and c_Fs >= 0.0
-        assert math.isfinite(c_f) and math.isfinite(c_F) and math.isfinite(c_Fs)
 
 
 def test_check_assumptions_log_family_fails_superquadraticity():

@@ -209,3 +209,31 @@ def test_scalar_newton_solves_tridiagonal_systems(monkeypatch, grid, cubic_nl):
     assert shapes
     # gbsv's band for (kl, ku) = (1, 1): one row of fill-in above the three
     assert set(shapes) == {((1, 1), (4, grid.N), (grid.N,))}
+
+
+def test_singular_newton_step_is_no_convergence(monkeypatch):
+    def singular(kl, ku, ab, b, *args, **kwargs):
+        return ab, None, b, 1           # gbsv's info > 0: U(1, 1) is zero
+
+    monkeypatch.setattr(energy_mod, "dgbsv", singular)
+    with pytest.raises(NoConvergence, match="singular Newton step at pivot 1"):
+        solve_scalar(cubic(), RadialGrid(R=20.0, N=400))
+
+
+def test_non_monotone_polish_is_rejected(monkeypatch):
+    def bumpy(grid, vals, params):
+        w = np.exp(-0.5 * grid.r ** 2) + 0.5 * np.exp(-(grid.r - 5.0) ** 2)
+        w[-1] = 0.0
+        return w
+
+    monkeypatch.setattr(scalar_mod, "_newton_polish", bumpy)
+    with pytest.raises(NoConvergence,
+                       match=r"lost monotonicity \(w\(0\)=1, h=0\.05\)"):
+        solve_scalar(cubic(), RadialGrid(R=20.0, N=400))
+
+
+def test_polish_with_morse_index_two_is_rejected(monkeypatch):
+    monkeypatch.setattr(scalar_mod, "morse_index", lambda *args: 2)
+    with pytest.raises(NoConvergence,
+                       match=r"Morse index 2, not 1 \(w\(0\)=.*, h=0\.05\)"):
+        solve_scalar(cubic(), RadialGrid(R=20.0, N=400))

@@ -9,7 +9,7 @@ import nlsground.threshold as threshold_mod
 from nlsground.coupled import Kind, solve_coupled
 from nlsground.energy import EnergyParams
 from nlsground.errors import InvalidBracket, NoConvergence, NumericalError
-from nlsground.grid import RadialGrid, integrate, kinetic
+from nlsground.grid import Profile, RadialGrid, State, integrate, kinetic
 from nlsground.nonlinearity import cubic, eval_F, log_enhanced
 from nlsground.scalar import solve_scalar
 from nlsground.threshold import (SweepRow, bisect_beta0, compare_energies,
@@ -207,3 +207,30 @@ def test_bisect_step_budget_raises(monkeypatch, mid_grid):
     params = EnergyParams(cubic(), cubic(), 1.0)
     with pytest.raises(NoConvergence, match="after 1 branch steps"):
         bisect_beta0(params, (0.5, 2.0), 1e-8, mid_grid)
+
+
+def test_bisect_counts_scalar_branch_steps_as_non_vector(monkeypatch,
+                                                         mid_grid, mid_scalar):
+    # a Newton that falls onto the scalar embedding below β = 1.05: the
+    # step certifies, but a state that is not vector is the non-vector side
+    real_newton = threshold_mod._coupled_newton
+    real_judge = threshold_mod._judge
+    kinds = []
+
+    def to_scalar(state, params):
+        if params.beta < 1.05:
+            return State(mid_scalar.profile, Profile.zero(mid_grid))
+        return real_newton(state, params)
+
+    def judge(state, params, iterations):
+        gs = real_judge(state, params, iterations)
+        kinds.append(gs.kind)
+        return gs
+
+    monkeypatch.setattr(threshold_mod, "_coupled_newton", to_scalar)
+    monkeypatch.setattr(threshold_mod, "_judge", judge)
+    params = EnergyParams(cubic(), cubic(), 1.0)
+    b0 = bisect_beta0(params, (0.9, 1.1), 1e-2, mid_grid)
+    assert Kind.SCALAR_U in kinds
+    # the scalar steps at β ≤ 1.0375 moved the non-vector end past 1
+    assert 1.0 < b0 < 1.1
