@@ -13,7 +13,7 @@ objects.  Where the file is not at that place, `_load` imports it through
 
 `solve_banded` is bound in `coupled` and `scalar` only for the perfbench
 tracer's PLAN, and nothing calls it; it imports scipy's `solve_banded`
-when called.  It goes with B1, which drops those PLAN entries.
+when called.  It goes with B1a, which drops those PLAN entries.
 """
 from __future__ import annotations
 

@@ -76,6 +76,8 @@ def _build_nonlinearity(pairs: dict[str, object], prefix: str) -> Nonlinearity |
         raise ConfigError(f"{prefix}.family is required when {prefix}.* is set")
     try:
         if family == "power_sum":
+            if "amplitude" in sub:
+                raise ConfigError(f"{prefix}: power_sum takes no amplitude")
             terms = sub.get("terms")    # none: f = 0, with no ground state
             if not isinstance(terms, (list, tuple)) or not terms:
                 raise ConfigError(f"{prefix}.terms must list at least one (a, p) pair")

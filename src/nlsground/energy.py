@@ -427,14 +427,12 @@ def project_pohozaev(state: State, params: EnergyParams) -> tuple[State, float]:
     O(h²), so the closed-form step is iterated; because dilating by 1 is
     the exact identity, the residual contracts by O(h²) per pass and two
     or three passes reach roundoff.  A state already on the manifold is
-    returned unchanged with t̄ = 1.  Raises ZeroState for the origin and
-    NoProjection off the cone of `_phi_value`, before any pass:
+    returned with the same values and t̄ = 1.  Raises ZeroState for the
+    origin and NoProjection off the cone of `_phi_value`, before any pass:
     interpolating a core narrower than h can lose W > 0.
     """
     grid, values = state.grid, state.values
     ys, tbar = _project(grid, values, params)
-    if ys is values:            # no pass dilated
-        return state, tbar
     return State(Profile(grid, ys[0]), Profile(grid, ys[1])), tbar
 
 
@@ -445,9 +443,8 @@ def _project(grid, ys, params: EnergyParams):
     tbar = 1.0
     for _ in range(12):
         t = math.sqrt(K / (6.0 * W))
-        if t != 1.0:
-            ys = tuple(dilate_values(grid, y, t) for y in ys)
-            tbar *= t
+        ys = tuple(dilate_values(grid, y, t) for y in ys)
+        tbar *= t
         K, W = _cone_terms(grid, _Point(ys, work), params)
         if abs(0.5 * K - 3.0 * W) <= 1e-12 * (1.0 + K):
             break

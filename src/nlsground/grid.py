@@ -12,10 +12,11 @@ and the kinetic energy uses the conservative midpoint (flux) form
     kinetic(u) = (4 pi / h) sum_i r_{i+1/2}^2 (u_{i+1} - u_i)^2,
 
 whose exact Euclidean gradient is the flux-form radial Laplacian returned
-by :func:`flux_laplacian`.  Keeping the quadratic form and the operator as
-exact adjoints of one another (rather than pairing the quadrature with the
-pointwise central stencil) is what lets finite-difference directional
-derivatives of the energy match its analytic gradient to roundoff.
+by :func:`flux_laplacian_interior`.  Keeping the quadratic form and the
+operator as exact adjoints of one another (rather than pairing the
+quadrature with the pointwise central stencil) is what lets
+finite-difference directional derivatives of the energy match its analytic
+gradient to roundoff.
 """
 from __future__ import annotations
 

@@ -266,10 +266,7 @@ def check_assumptions(nl: Nonlinearity, p_test: float) -> AssumptionReport:
     # (f2): f(t)/t^p_test stays bounded (non-growing trend) at large t.
     t_big = np.logspace(np.log10(t_max), np.log10(t_max) + 4.0, 65)
     r_big = np.abs(eval_f(nl, t_big)) / t_big ** p_test
-    if np.all(r_big < 1e-300):
-        f2_ok = True
-    else:
-        f2_ok = _loglog_slope(t_big, r_big) <= 0.02
+    f2_ok = _loglog_slope(t_big, r_big) <= 0.02
 
     # (f3): scan for a witness T1 with F(T1) > T1^2 / 2.
     t_lin = np.linspace(t_max / n_samples, t_max, n_samples)
@@ -290,7 +287,6 @@ def check_assumptions(nl: Nonlinearity, p_test: float) -> AssumptionReport:
         t_at_min = float(t_ar[good][k])
     else:
         mu = 0.0
-        t_at_min = 0.0
     nonpositive = t_ar[Fv <= 0.0]    # F <= 0 at some t > 0 breaks AR outright
     if nonpositive.size:
         t_at_min = float(nonpositive.min())

@@ -36,7 +36,6 @@ __all__ = ["ShootingConfig", "ScalarGroundState", "Outcome", "ShootResult",
 
 DECAY_FLOOR = 1e-9
 BLOWUP_LIMIT = 1e6
-MAX_BISECT = 200       # cap on amplitude halvings; width 1e-12 takes about 45
 SHOOT_RADIUS = 20.0    # trajectories are classified out to this radius
 LADDER = tuple(2.0 ** (k / 2) for k in range(-2, 19))   # start amplitudes 0.5..512
 
@@ -144,7 +143,12 @@ def shoot(nl: Nonlinearity, a: float, cfg: ShootingConfig = ShootingConfig()) ->
 
 
 def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig) -> float:
-    """The RK4 reference w(0): bisect TurnsUp against Crosses in the bracket."""
+    """The RK4 reference w(0): bisect TurnsUp against Crosses in the bracket.
+
+    The bracket's ends must turn up (a_min) and cross (a_max), else
+    `BracketFailure`.  The width test ends the halving within
+    log2((a_max − a_min)/(1e-12·a_min)) steps, 49 for the default bracket.
+    """
     def classify(a: float) -> Outcome:
         try:
             res = shoot(nl, a, cfg)
@@ -153,32 +157,10 @@ def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig) -> float:
         return res.outcome
 
     lo, hi = cfg.a_min, cfg.a_max
-    out_lo, out_hi = classify(lo), classify(hi)
-    if out_lo is Outcome.DECAYS:
-        return lo
-    if out_hi is Outcome.DECAYS:
-        return hi
-    if not (out_lo is Outcome.TURNS_UP and out_hi is Outcome.CROSSES):
-        # scan for an adjacent (TurnsUp, Crosses) pair inside the bracket
-        scan = np.geomspace(lo, hi, 25)
-        outs = [classify(a) for a in scan]
-        found = False
-        for j in range(len(scan) - 1):
-            if outs[j] is Outcome.DECAYS:
-                return float(scan[j])
-            if outs[j] is Outcome.TURNS_UP and outs[j + 1] is Outcome.CROSSES:
-                lo, hi = float(scan[j]), float(scan[j + 1])
-                found = True
-                break
-        else:
-            if outs[-1] is Outcome.DECAYS:
-                return float(scan[-1])
-        if not found:
-            raise BracketFailure(
-                f"no TurnsUp/Crosses transition in [{cfg.a_min}, {cfg.a_max}]")
-    for _ in range(MAX_BISECT):
-        if hi - lo <= 1e-12 * hi:
-            break
+    if (classify(lo), classify(hi)) != (Outcome.TURNS_UP, Outcome.CROSSES):
+        raise BracketFailure(
+            f"no TurnsUp/Crosses transition in [{cfg.a_min}, {cfg.a_max}]")
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         out = classify(mid)
         if out is Outcome.CROSSES:
@@ -187,9 +169,6 @@ def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig) -> float:
             lo = mid
         else:
             return mid
-    else:
-        raise NoConvergence(
-            f"bisection did not reach width 1e-12 in {MAX_BISECT} steps")
     return 0.5 * (lo + hi)
 
 

@@ -326,6 +326,28 @@ output.dir = {blocker / 'out'}
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_failed_state_write_leaves_no_temp_file(monkeypatch, tmp_path):
+    # the writer fails after the temp file exists: it is removed, no state
+    # is renamed in, and the I/O error exits 1
+    def partial(state, path):
+        Path(path).write_text("r,u,v\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_state_csv", partial)
+    conf = write_conf(tmp_path / "c.conf", f"""
+f.family = cubic
+beta = 2.0
+grid.N = 1600
+output.dir = {tmp_path / 'out'}
+""")
+    code, out, err = run_cli("coupled", conf)
+    assert code == 1
+    assert err.startswith("error:") and "disk full" in err
+    out_dir = tmp_path / "out"
+    assert not (out_dir / "state.csv").exists()
+    assert not list(out_dir.glob("*.tmp"))
+
+
 def test_config_error_exit(tmp_path):
     conf = write_conf(tmp_path / "bad.conf", "nonsense = true\n")
     code, _, err = run_cli("scalar", conf)

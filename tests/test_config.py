@@ -136,6 +136,10 @@ def test_distinct_g_family():
     ("f.family = cubic\nsolver.step = 0.5\n", "unknown keys"),
     ("f.family = cubic\nsolver.classify_tol = 1e-5\n", "unknown keys"),
     ("f.family = cubic\nshooting.classify_radius = 15.0\n", "unknown keys"),
+    # each family takes only its own keys, and none without a family
+    ("f.family = power_sum\nf.terms = [(1.0, 3.0)]\nf.amplitude = 7\n",
+     "power_sum takes no amplitude"),
+    ("f.terms = [(1.0, 3.0)]\n", "^f.family is required when f.\\* is set"),
 ])
 def test_rejected_configs(text, fragment):
     with pytest.raises(ConfigError) as exc:

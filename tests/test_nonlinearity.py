@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from nlsground.errors import InvalidExponent
-from nlsground.nonlinearity import (AR_MARGIN, check_assumptions, cubic,
-                                    eval_F, eval_df, eval_f, log_enhanced,
-                                    power_sum)
+from nlsground.nonlinearity import (AR_MARGIN, Nonlinearity,
+                                    check_assumptions, cubic, eval_F, eval_df,
+                                    eval_f, log_enhanced, power_sum)
 
 
 def test_cubic_point_values():
@@ -111,6 +111,8 @@ def test_validation_errors():
         power_sum([(-1.0, 3.0)])
     with pytest.raises(ValueError):
         log_enhanced(-2.0)
+    with pytest.raises(ValueError, match="family: 'bogus'"):
+        Nonlinearity("bogus")
 
 
 @pytest.mark.parametrize("bad", [True, np.bool_(True), "2", "1.0", None,
@@ -177,6 +179,23 @@ def test_check_assumptions_fails_ar_where_F_is_not_positive():
     assert eval_F(nl, rep.ar_witness[1]) < 0.0
     assert rep.mu == pytest.approx(4.0, rel=1e-6)      # over F > 0 only
     assert rep.f1_ok and rep.f2_ok and rep.f3_ok
+
+
+def test_check_assumptions_on_f_identically_zero():
+    # f ≡ 0 meets (f1) and (f2) but not (f3); F = 0 at every sample, so AR
+    # fails with the first AR sample as its witness
+    rep = check_assumptions(power_sum([]), p_test=3.0)
+    assert rep.f1_ok and rep.f2_ok
+    assert not rep.f3_ok and rep.T1 is None
+    assert not rep.ar_ok and rep.mu == 0.0
+    assert rep.ar_witness == (2.0 + AR_MARGIN, pytest.approx(1e-4, rel=1e-12))
+
+
+def test_check_assumptions_f2_reads_the_slope_of_a_tiny_coefficient():
+    # f/t^1.1 = 1e-320 t^3.8 stays below 1e-300 on the (f2) ramp, yet it
+    # grows like the same f with coefficient 1
+    for a in (1e-320, 1.0):
+        assert not check_assumptions(power_sum([(a, 4.9)]), p_test=1.1).f2_ok
 
 
 def test_check_assumptions_rejects_bad_p_test():

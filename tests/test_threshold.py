@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -234,3 +235,25 @@ def test_bisect_counts_scalar_branch_steps_as_non_vector(monkeypatch,
     assert Kind.SCALAR_U in kinds
     # the scalar steps at β ≤ 1.0375 moved the non-vector end past 1
     assert 1.0 < b0 < 1.1
+
+
+def test_bisect_returns_a_step_whose_gap_is_exactly_zero(monkeypatch,
+                                                         mid_grid, mid_scalar):
+    # the first branch step, at the bracket's midpoint, reads m = S to the
+    # last bit: that trial β is the crossing, returned as it is
+    real_judge = threshold_mod._judge
+    trials = []
+
+    def exact(state, params, iterations):
+        gs = real_judge(state, params, iterations)
+        trials.append(params.beta)
+        if len(trials) == 1:
+            return dataclasses.replace(gs, m=mid_scalar.action)
+        return gs
+
+    monkeypatch.setattr(threshold_mod, "_judge", exact)
+    params = EnergyParams(cubic(), cubic(), 1.0)
+    b0 = bisect_beta0(params, (0.9, 1.2), 1e-2, mid_grid)
+    assert trials[0] == 0.5 * (0.9 + 1.2)
+    assert b0 == 0.5 * (0.9 + 1.2)
+    assert len(trials) == 1
