@@ -90,6 +90,8 @@ def _build_nonlinearity(pairs: dict[str, object], prefix: str) -> Nonlinearity |
             if "terms" in sub:
                 raise ConfigError(f"{prefix}: log_enhanced takes no terms")
             return log_enhanced(sub.get("amplitude", 1.0))
+    except ConfigError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{prefix}: {exc}") from exc
     raise ConfigError(f"{prefix}.family: unknown family {family!r}")

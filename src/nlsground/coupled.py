@@ -51,8 +51,11 @@ definite, so it is factored once per round without pivoting (LAPACK
 per component).  Each point of a round is evaluated once: the iterate
 and the Armijo trial are two `nlsground.energy._Point`s swapped on
 acceptance, the gradient reads what the accepted trial's `_terms`
-formed.  A judged state's (K, W) are formed once too: `_judge` takes
-the action of a state that settles without dilating from them.
+formed.  For f = g a pair whose two components are one array to the
+bit (the scalar pair, which the Φ-flow keeps symmetric) is evaluated
+once: the descent runs on that one array with the pair's arithmetic.
+A judged state's (K, W) are formed once too: `_judge` takes the action
+of a state that settles without dilating from them.
 """
 from __future__ import annotations
 
@@ -215,12 +218,17 @@ def _descend(grid, ys, params: EnergyParams, max_iters: int):
     a gradient G that is not finite raises `NoConvergence`.  The iterate
     and the Armijo trial are two `_Point`s, swapped on acceptance, so each
     state is evaluated once: its gradient reuses what its trial's `_terms`
-    formed.
+    formed.  For f = g a pair whose arrays are one array to the bit (so
+    never ±0 apart) is a mirror: the round runs on that one array, with
+    the pair's arithmetic, and returns two equal arrays.
     """
-    c, size = len(ys), grid.N + 1
+    mirror = (len(ys) == 2 and params.f == params.g
+              and ys[0].tobytes() == ys[1].tobytes())
+    c, size = len(ys) - mirror, grid.N + 1
     *arrays, prod = _carve(size, 2 * c + 1)
-    cur = _Point(tuple(arrays[:c]), _Work(grid, params, c))
-    trial = _Point(tuple(arrays[c:]), _Work(grid, params, c, share=cur.work))
+    cur = _Point(tuple(arrays[:c]), _Work(grid, params, c, mirror=mirror))
+    trial = _Point(tuple(arrays[c:]),
+                   _Work(grid, params, c, share=cur.work, mirror=mirror))
     for y, start in zip(cur, ys):
         np.copyto(y, start)
         y[0] = y[1]
@@ -233,8 +241,8 @@ def _descend(grid, ys, params: EnergyParams, max_iters: int):
         if not all(np.isfinite(g).all() for g in gs):
             raise NoConvergence(f"non-finite descent gradient at iteration {it}")
         ds = _precondition(factors, gs)
-        slope = float(sum(grid.w @ np.multiply(g, dk, out=prod)
-                          for g, dk in zip(gs, ds)))
+        slope = float(sum([grid.w @ np.multiply(g, dk, out=prod)
+                           for g, dk in zip(gs, ds)] * (1 + mirror)))
         it += 1
         s = 1.0
         for _ in range(60):
@@ -249,6 +257,8 @@ def _descend(grid, ys, params: EnergyParams, max_iters: int):
             s *= BACKTRACK
         else:
             break   # no Armijo step
+    if mirror:
+        return (cur[0], cur[0].copy()), it
     return tuple(cur), it
 
 

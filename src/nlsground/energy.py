@@ -20,8 +20,9 @@ the `morse_index` of the action's Hessian.  It reads a state as a tuple of
 one or two node arrays: (u, v) for the coupled system, (w,) for the scalar
 equation, which is the coupled one at v = 0 and β = 0 with the absent
 component's terms dropped.  The β·u²v² coupling is present only when there
-are two.  Both linear-algebra kernels hand LAPACK a band in its own
-Fortran storage: `gbsv` for the Newton step and `pbtrf` for the index.
+are two, or one whose `_Work` mirrors the pair (y, y).  Both
+linear-algebra kernels hand LAPACK a band in its own Fortran storage:
+`gbsv` for the Newton step and `pbtrf` for the index.
 `nlsground.coupled.certify` judges its states.
 
 A state is evaluated in a `_Work`, buffers allocated once per call: `_form`
@@ -109,12 +110,14 @@ class _Work:
     `_terms` and `_variation` then read.  `var` receives the variation and
     the rest is scratch that each evaluation overwrites; a work made with
     `share` uses that work's, so two points of one call (an iterate and
-    its trial) hold only their own pieces.
+    its trial) hold only their own pieces.  With `mirror` (f = g) its one
+    component stands for the pair (y, y): it is evaluated once, and the
+    pair's sums add that one term twice, in the pair's order.
     """
 
     def __init__(self, grid, params: EnergyParams, c: int,
-                 share: _Work | None = None):
-        N = grid.N
+                 share: _Work | None = None, mirror: bool = False):
+        N, self.mirror = grid.N, mirror
         nls = (params.f, params.g)[:c]
         if share is None:
             rows = _carve(N + 1, 2 * c + 7, c)    # var is written from node 1
@@ -164,15 +167,16 @@ def _terms(grid, ys, params: EnergyParams):
     """
     work = _work_of(grid, ys, params)
     _form(ys, params, work)
-    K = sum(float(grid.flux @ np.multiply(dy, dy, out=work.flux_dy))
-            for dy in work.dy)
+    ks = [float(grid.flux @ np.multiply(dy, dy, out=work.flux_dy))
+          for dy in work.dy]
+    K = sum(ks * (1 + work.mirror))
     u2 = work.y2[0]
     P = _potential(params.f, ys[0], u2, work.pieces[0], work.P, (work.t1,))
     M = u2
-    if len(ys) == 2:
-        v2 = work.y2[1]
-        P += _potential(params.g, ys[1], v2, work.pieces[1], work.t1,
-                        (work.t2,))
+    if len(ys) == 2 or work.mirror:
+        v2 = work.y2[-1]
+        P += P if work.mirror else _potential(
+            params.g, ys[1], v2, work.pieces[1], work.t1, (work.t2,))
         coupling = np.multiply(0.5 * params.beta, u2, out=work.t1)
         coupling *= v2
         P += coupling
@@ -209,9 +213,9 @@ def _variation(grid, ys, params: EnergyParams, a: float = 1.0, b: float = 1.0,
         source = _force(nl, y, work.y2[k], work.pieces[k], work.src,
                         (work.t1, work.t2))
         np.subtract(y, source, out=source)
-        if len(ys) == 2:
+        if len(ys) == 2 or work.mirror:
             pull = np.multiply(params.beta, y, out=work.t1)
-            pull *= work.y2[1 - k]
+            pull *= work.y2[-1 - k]         # the other's, or a mirror's own
             source -= pull
         var = work.var[k]
         lap = _flux_laplacian(grid, work.dy[k], var[1:-1], work.flux_dy)

@@ -148,6 +148,19 @@ def test_rejected_configs(text, fragment):
     assert re.search(fragment, str(exc.value)), str(exc.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("f.family = cubic\nf.amplitude = 7\n", "f: cubic takes no extra keys"),
+    ("f.family = log_enhanced\nf.terms = [(1.0, 3.0)]\n",
+     "f: log_enhanced takes no terms"),
+    ("f.family = cubic\ng.family = power_sum\ng.terms = [(1.0, 3.0)]\n"
+     "g.amplitude = 7\n", "g: power_sum takes no amplitude"),
+])
+def test_family_key_errors_name_the_prefix_once(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("\n# header\n\nf.family = cubic  # inline\n\n")
     assert cfg.f.family == "power_sum"  # cubic is a power_sum special case

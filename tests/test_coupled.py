@@ -675,3 +675,20 @@ def test_answer_never_exceeds_the_embeddings_bound(N, f, g, beta):
         return
     bound = _embedding_bound(params, *baselines)
     assert gs.m <= bound + coupled_mod.TIE_REL * (1.0 + abs(bound))
+
+
+@pytest.mark.parametrize("family, beta", [("cubic", 0.99), ("cubic", 2.0),
+                                          ("log", 0.3)])
+def test_scalar_pair_round_stays_mirrored(request, grid, family, beta):
+    # for f = g the Φ-flow keeps u = v: a round from (w, w) ends on a pair
+    # of one array to the bit, and so does its projection, the next round's
+    # start, so every round of the scalar pair runs on one array
+    nl = request.getfixturevalue(f"{family}_nl")
+    w = request.getfixturevalue(f"{family}_scalar").profile
+    params = EnergyParams(nl, nl, beta)
+    (u, v), _ = coupled_mod._descend(grid, (w.values, w.values), params,
+                                     coupled_mod.ROUND)
+    assert u.tobytes() == v.tobytes()
+    state, _ = project_pohozaev(State(Profile(grid, u), Profile(grid, v)),
+                                params)
+    assert state.u.values.tobytes() == state.v.values.tobytes()

@@ -615,6 +615,50 @@ def test_operator_matches_the_fresh_array_reference(seed, bumps, beta, which,
         assert _same_bits(got, want)
 
 
+def _descend_works(monkeypatch):
+    """The `mirror` flag of each `_Work` that `coupled._descend` builds."""
+    made, real = [], coupled_mod._Work
+
+    def spy(*args, **kwargs):
+        work = real(*args, **kwargs)
+        made.append(work.mirror)
+        return work
+
+    monkeypatch.setattr(coupled_mod, "_Work", spy)
+    return made
+
+
+def _round_matches_the_reference(g, ys, params):
+    got = coupled_mod._descend(g, ys, params, coupled_mod.ROUND)
+    want = reference_descend(g, ys, params, coupled_mod.ROUND)
+    assert _same_bits(got[0], want[0]) and got[1] == want[1] > 0
+    return got[0]
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.01, 2.0])
+@pytest.mark.parametrize("which", range(len(_CATALOG)))
+def test_mirrored_round_matches_the_reference(monkeypatch, which, beta):
+    # for f = g a pair of one array to the bit runs on that one array, with
+    # the pair's arithmetic: the round is the two-array reference's, bit for
+    # bit, and it returns two arrays that the caller may write apart
+    g = RadialGrid(R=20.0, N=200)
+    nl = _CATALOG[which]
+    y = solve_scalar(nl, g).profile.values
+    params = EnergyParams(nl, nl, beta)
+    works = _descend_works(monkeypatch)
+    u, v = _round_matches_the_reference(g, (y, y.copy()), params)
+    assert works == [True, True] and u is not v
+    # controls on the two-array path: v one ulp off u at one node, and
+    # f ≠ g on one array
+    off = y.copy()
+    off[7] = np.nextafter(off[7], np.inf)
+    other = EnergyParams(nl, _CATALOG[(which + 1) % len(_CATALOG)], beta)
+    works.clear()
+    _round_matches_the_reference(g, (y, off), params)
+    _round_matches_the_reference(g, (y, y.copy()), other)
+    assert works == [False] * 4
+
+
 def test_action_minus_a_third_of_k_is_a_third_of_j():
     # I = K/2 − W and J = K/2 − 3W, so I − K/3 = J/3: `certify`'s Pohozaev
     # clause bounds |I − K/3| as well, up to a few ulps of K and W
