@@ -54,7 +54,7 @@ acceptance, the gradient reads what the accepted trial's `_terms`
 formed.  For f = g a pair whose two components are one array to the
 bit (the scalar pair, which the Φ-flow keeps symmetric) is evaluated
 once: the descent runs on that one array with the pair's arithmetic.
-A judged state's (K, W) are formed once too: `_judge` takes the action
+`_judge` forms the (K, W) of the state it judges, and takes the action
 of a state that settles without dilating from them.
 """
 from __future__ import annotations
@@ -297,15 +297,13 @@ def _settle_on_manifold(state: State, params: EnergyParams, K: float,
 
 
 def _judge(state: State, params: EnergyParams, iterations: int,
-           ceiling: float = math.inf,
-           terms: tuple[float, float] | None = None) -> GroundState | None:
+           ceiling: float = math.inf) -> GroundState | None:
     """Settle, `certify` and `classify` a state; raises what they raise.
 
-    `terms` is the state's (K, W) when the caller has them.  A settled
-    state whose action lies above `ceiling` is returned as None, before
-    `certify` runs.
+    A settled state whose action lies above `ceiling` is returned as None,
+    before `certify` runs.
     """
-    K, W = terms or _terms(state.grid, state.values, params)
+    K, W = _terms(state.grid, state.values, params)
     settled = _settle_on_manifold(state, params, K, W)
     if ceiling < math.inf:
         m = 0.5 * K - W if settled is state else energy_I(settled, params)
@@ -318,8 +316,7 @@ def _judge(state: State, params: EnergyParams, iterations: int,
 
 
 def _candidate(state: State, params: EnergyParams, iterations: int,
-               ceiling: float = math.inf,
-               terms: tuple[float, float] | None = None):
+               ceiling: float = math.inf):
     """The one accept gate: `_judge`, then Morse index 1.
 
     Returns (GroundState, "") or (None, the rejection: the certificate
@@ -327,7 +324,7 @@ def _candidate(state: State, params: EnergyParams, iterations: int,
     settled action above `ceiling`).
     """
     try:
-        gs = _judge(state, params, iterations, ceiling, terms)
+        gs = _judge(state, params, iterations, ceiling)
     except (NoProjection, CertificationFailure) as exc:
         return None, str(exc)
     if gs is None:
@@ -370,11 +367,10 @@ def _run_start(init: State, params: EnergyParams, max_iters: int):
         state, _ = project_pohozaev(State(Profile(gr, u), Profile(gr, v)),
                                     params)
         polished = _coupled_newton(state, params)
-        K, W = _terms(gr, polished.values, params)
-        gs, reason = _candidate(polished, params, done, terms=(K, W))
+        gs, reason = _candidate(polished, params, done)
         if gs is not None:
             return gs, ""
-        m = 0.5 * K - W     # `energy_I` of the polished state
+        m = energy_I(polished, params)
         if ((last is not None and abs(m - last) <= TIE_REL * (1.0 + abs(m)))
                 or iters < budget or done >= max_iters):
             return None, f"{reason} after {done} iterations"

@@ -67,9 +67,6 @@ class NoProjection(NumericalError):
 class CertificationFailure(NumericalError):
     """A-posteriori certificate violated; carries the failed clause."""
 
-    def __init__(self, clause: str, detail: str = ""):
+    def __init__(self, clause: str, detail: str):
         self.clause = clause
-        msg = f"certificate clause violated: {clause}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"certificate clause violated: {clause} ({detail})")

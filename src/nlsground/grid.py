@@ -73,11 +73,6 @@ class RadialGrid:
         return self is other or (self.R == other.R and self.N == other.N)
 
 
-def _check_grid(grid: RadialGrid, other: RadialGrid):
-    if not grid.same_as(other):
-        raise GridMismatch(f"{grid!r} vs {other!r}")
-
-
 @dataclass(frozen=True)
 class Profile:
     """Node samples of one radial function; last entry pinned to 0."""
@@ -118,7 +113,8 @@ class State:
     v: Profile
 
     def __post_init__(self):
-        _check_grid(self.u.grid, self.v.grid)
+        if not self.u.grid.same_as(self.v.grid):
+            raise GridMismatch(f"{self.u.grid!r} vs {self.v.grid!r}")
 
     @property
     def grid(self) -> RadialGrid:

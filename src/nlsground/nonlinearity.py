@@ -208,7 +208,6 @@ class AssumptionReport:
 
     f1_ok: bool
     f2_ok: bool
-    p_test: float
     f3_ok: bool
     T1: float | None
     ar_ok: bool
@@ -294,6 +293,5 @@ def check_assumptions(nl: Nonlinearity, p_test: float) -> AssumptionReport:
     ar_witness = None if ar_ok else (2.0 + AR_MARGIN, t_at_min)
 
     return AssumptionReport(
-        f1_ok=bool(f1_ok), f2_ok=bool(f2_ok), p_test=p_test,
-        f3_ok=bool(f3_ok), T1=T1, ar_ok=bool(ar_ok), mu=mu,
-        ar_witness=ar_witness)
+        f1_ok=bool(f1_ok), f2_ok=bool(f2_ok), f3_ok=bool(f3_ok), T1=T1,
+        ar_ok=bool(ar_ok), mu=mu, ar_witness=ar_witness)

@@ -201,7 +201,7 @@ def solve_scalar(nl: Nonlinearity, grid: RadialGrid) -> ScalarGroundState:
 
     The profile must be positive and monotone, with residual below 1e-6
     and Morse index 1.  It is not put through `coupled.certify`: at R = 20
-    and N ≤ 1200 the cubic misses the Pohozaev clause by the quadrature's
+    and N ≤ 2000 the cubic misses the Pohozaev clause by the quadrature's
     O(h²), while index 1 holds on every grid.
     """
     params = EnergyParams(nl, nl, 0.0)

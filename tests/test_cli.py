@@ -297,6 +297,26 @@ output.dir = {tmp_path / 'out'}
     assert re.search(r"^residual_v=0\b", out, re.M)
 
 
+def test_a_coarse_scalar_profile_fails_check_where_coupled_passes(tmp_path):
+    # at R = 20 the cubic's scalar profile misses the Pohozaev clause by the
+    # quadrature's O(h²) up to N = 2000 (|J| = 9.9e-5 against 5.8e-5 here);
+    # `coupled` projects that profile onto J = 0 before judging it
+    conf = write_conf(tmp_path / "c.conf", f"""
+f.family = cubic
+beta = 0.5
+grid.N = 1600
+output.dir = {tmp_path / 'out'}
+""")
+    code, _, err = run_cli("scalar", conf)
+    assert code == 0, err
+    code, _, err = run_cli("check", conf, str(tmp_path / "out" / "u0.csv"))
+    assert code == 3 and "pohozaev" in err
+    code, out, err = run_cli("coupled", conf)
+    assert code == 0 and "kind=scalar_u" in out, err
+    code, _, err = run_cli("check", conf, str(tmp_path / "out" / "state.csv"))
+    assert code == 0, err
+
+
 def test_check_bad_inputs(coupled_run, tmp_path):
     root, conf, _ = coupled_run
     code, _, err = run_cli("check", conf, str(tmp_path / "missing.csv"))
