@@ -18,7 +18,7 @@ from .grid import Profile, RadialGrid, State, dilate, integrate, kinetic, rearra
 from .nonlinearity import (AssumptionReport, Nonlinearity, check_assumptions,
                            cubic, eval_F, eval_df, eval_f, log_enhanced,
                            power_sum)
-from .scalar import ScalarGroundState, ShootingConfig, shoot, solve_scalar
+from .scalar import ScalarGroundState, solve_scalar
 from .threshold import (SweepResult, SweepRow, bisect_beta0, compare_energies,
                         sweep)
 
@@ -27,11 +27,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionReport", "EnergyParams", "EnergyReport", "GroundState",
     "Kind", "Nonlinearity", "Profile", "RadialGrid", "ScalarGroundState",
-    "ShootingConfig", "SolveConfig", "State", "SweepResult", "SweepRow",
+    "SolveConfig", "State", "SweepResult", "SweepRow",
     "bisect_beta0", "certify", "check_assumptions", "classify",
     "compare_energies", "cubic", "dilate", "energy_I", "energy_report",
     "eval_F", "eval_df", "eval_f", "first_variation", "integrate", "kinetic",
     "log_enhanced", "pohozaev_J", "power_sum", "project_pohozaev",
-    "projected_energy", "rearrange", "shoot", "solve_coupled", "solve_scalar",
+    "projected_energy", "rearrange", "solve_coupled", "solve_scalar",
     "sweep", "__version__",
 ]

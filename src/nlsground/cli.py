@@ -119,6 +119,9 @@ def cmd_check(cfg: RunConfig, state_csv: str) -> int:
         state = state_from_csv(state_csv, cfg.grid)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read state {state_csv}: {exc}") from exc
+    # β multiplies only terms that a zero component makes vanish
+    if cfg.beta is None and all(c.any() for c in state.values):
+        raise ConfigError("beta is required to check a two-component state")
     beta = cfg.beta if cfg.beta is not None else 0.0
     params = EnergyParams(cfg.f, cfg.g, beta)
     print(energy_report(state, params).lines())

@@ -31,10 +31,6 @@ class ZeroState(ValueError):
     """Operation requires a state with at least one nonzero component."""
 
 
-class NonpositiveAmplitude(ValueError):
-    """Shooting amplitude must be positive."""
-
-
 class NegativeBeta(ValueError):
     """Coupled radial pipeline requires a positive coupling beta."""
 
@@ -47,13 +43,10 @@ class NumericalError(RuntimeError):
     """Base class for failures of the numerical pipeline."""
 
 
-class Blowup(NumericalError):
-    """ODE trajectory left the trust region (|w| > 1e6)."""
-
-
 class BracketFailure(NumericalError):
-    """No amplitude to start from: no shooting sign change inside
-    [a_min, a_max], or no start amplitude of `solve_scalar` gives W > 0."""
+    """No amplitude to start from: no start amplitude of `solve_scalar`
+    gives W > 0, or the RK4 reference's `SHOOT_BRACKET` holds no
+    turn-up/crossing transition."""
 
 
 class NoConvergence(NumericalError):

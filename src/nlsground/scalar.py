@@ -8,14 +8,13 @@ the descent on the projected action Φ finds the basin; the dilation onto
 the Pohozaev manifold and the damped Newton iteration of
 `nlsground.energy.newton` then reach the grid's discrete critical point.
 
-`shoot` is the independent RK4 oracle: it integrates
-w″ + (2/r)w′ − w + f(w) = 0 from w(0) = a, w′(0) = 0 and classifies the
-trajectory — overshooting amplitudes cross zero, undershooting ones turn
-back up.  `_bisect_amplitude` bisects between the two behaviors.
+A fixed-step RK4 shooting is the tests' independent reference for w(0):
+`_integrate` marches w″ + (2/r)w′ − w + f(w) = 0 from w(0) = a,
+w′(0) = 0 and tells whether the trajectory overshoots (crosses zero) or
+turns back up, and `_bisect_amplitude` bisects between the two.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -25,37 +24,19 @@ from . import coupled
 from ._lapack import solve_banded  # noqa: F401  bound for perfbench tracer.PLAN
 from .energy import (EnergyParams, _project, energy_I, morse_index, newton,
                      residuals)
-from .errors import (Blowup, BracketFailure, NoConvergence,
-                     NonpositiveAmplitude)
+from .errors import BracketFailure, NoConvergence
 from .grid import Profile, RadialGrid, State
 from .nonlinearity import POWER_SUM, Nonlinearity
 from .nonlinearity import eval_df, eval_f  # noqa: F401  bound for perfbench tracer.PLAN
 
-__all__ = ["ShootingConfig", "ScalarGroundState", "Outcome", "ShootResult",
-           "shoot", "solve_scalar"]
+__all__ = ["ScalarGroundState", "solve_scalar"]
 
 DECAY_FLOOR = 1e-9
 BLOWUP_LIMIT = 1e6
 SHOOT_RADIUS = 20.0    # trajectories are classified out to this radius
+SHOOT_STEP = SHOOT_RADIUS / 16000.0   # h/4 of the default grid
+SHOOT_BRACKET = (0.1, 50.0)   # its ends must turn up and cross
 LADDER = tuple(2.0 ** (k / 2) for k in range(-2, 19))   # start amplitudes 0.5..512
-
-
-@dataclass(frozen=True)
-class ShootingConfig:
-    """Amplitude bracket and ODE step of the RK4 shooting oracle.
-
-    `ode_step` defaults to 20/16000, h/4 of the default grid.
-    """
-
-    a_min: float = 0.1
-    a_max: float = 50.0
-    ode_step: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.a_min < self.a_max):
-            raise ValueError("need 0 < a_min < a_max")
-        if self.ode_step is not None and not self.ode_step > 0.0:
-            raise ValueError("ode_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,18 +45,6 @@ class ScalarGroundState:
     center_value: float
     action: float
     residual: float
-
-
-class Outcome(enum.Enum):
-    CROSSES = "crosses"
-    TURNS_UP = "turns_up"
-    DECAYS = "decays"
-
-
-@dataclass(frozen=True)
-class ShootResult:
-    outcome: Outcome
-    radius: float | None = None
 
 
 def _scalar_f(nl: Nonlinearity):
@@ -97,9 +66,11 @@ def _scalar_f(nl: Nonlinearity):
     return f
 
 
-def _integrate(nl: Nonlinearity, a: float, dt: float,
-               r_max: float) -> ShootResult:
-    """RK4 march of (w, w') from r=0, classified as in the module docstring."""
+def _integrate(nl: Nonlinearity, a: float,
+               dt: float = SHOOT_STEP) -> bool | None:
+    """RK4 march of (w, w') from r=0.  True if w crosses zero or |w| passes
+    `BLOWUP_LIMIT` (an overshoot), False if it turns back up, None if it
+    decays below `DECAY_FLOOR` or reaches `SHOOT_RADIUS`."""
     f = _scalar_f(nl)
 
     def accel(r: float, y: float, p: float) -> float:
@@ -107,7 +78,7 @@ def _integrate(nl: Nonlinearity, a: float, dt: float,
             return (y - f(y)) / 3.0
         return -2.0 * p / r + y - f(y)
 
-    n_steps = int(round(r_max / dt))
+    n_steps = int(round(SHOOT_RADIUS / dt))
     y, p, r = a, 0.0, 0.0
     for _ in range(n_steps):
         k1y = p
@@ -123,52 +94,35 @@ def _integrate(nl: Nonlinearity, a: float, dt: float,
         y += dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         p += dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         r = rf
-        if abs(y) > BLOWUP_LIMIT:
-            raise Blowup(f"|w({r:.3f})| > {BLOWUP_LIMIT:g} shooting from a={a}")
-        if y <= 0.0:
-            return ShootResult(Outcome.CROSSES, r)
+        if y <= 0.0 or y > BLOWUP_LIMIT:
+            return True
         if p >= 0.0:
-            return ShootResult(Outcome.TURNS_UP, r)
+            return False
         if y < DECAY_FLOOR:
-            return ShootResult(Outcome.DECAYS)
-    return ShootResult(Outcome.DECAYS)
+            return None
+    return None
 
 
-def shoot(nl: Nonlinearity, a: float, cfg: ShootingConfig = ShootingConfig()) -> ShootResult:
-    """Classify the trajectory launched from w(0)=a: see module docstring."""
-    if not a > 0.0:
-        raise NonpositiveAmplitude(f"a={a}")
-    dt = cfg.ode_step if cfg.ode_step is not None else SHOOT_RADIUS / 16000.0
-    return _integrate(nl, a, dt, SHOOT_RADIUS)
+def _bisect_amplitude(nl: Nonlinearity) -> float:
+    """The RK4 reference w(0): bisect turning up against crossing.
 
-
-def _bisect_amplitude(nl: Nonlinearity, cfg: ShootingConfig) -> float:
-    """The RK4 reference w(0): bisect TurnsUp against Crosses in the bracket.
-
-    The bracket's ends must turn up (a_min) and cross (a_max), else
-    `BracketFailure`.  The width test ends the halving within
-    log2((a_max − a_min)/(1e-12·a_min)) steps, 49 for the default bracket.
+    The ends of `SHOOT_BRACKET` must turn up and cross, else
+    `BracketFailure`.  The halving stops once hi − lo ≤ 1e-12·hi, within
+    49 steps.
     """
-    def classify(a: float) -> Outcome:
-        try:
-            res = shoot(nl, a, cfg)
-        except Blowup:
-            return Outcome.CROSSES    # too large an amplitude: an overshoot
-        return res.outcome
-
-    lo, hi = cfg.a_min, cfg.a_max
-    if (classify(lo), classify(hi)) != (Outcome.TURNS_UP, Outcome.CROSSES):
+    lo, hi = SHOOT_BRACKET
+    if (_integrate(nl, lo), _integrate(nl, hi)) != (False, True):
         raise BracketFailure(
-            f"no TurnsUp/Crosses transition in [{cfg.a_min}, {cfg.a_max}]")
+            f"no turn-up/crossing transition in {SHOOT_BRACKET}")
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        out = classify(mid)
-        if out is Outcome.CROSSES:
-            hi = mid
-        elif out is Outcome.TURNS_UP:
-            lo = mid
-        else:
+        crosses = _integrate(nl, mid)
+        if crosses is None:
             return mid
+        if crosses:
+            hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)
 
 

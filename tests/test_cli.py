@@ -297,6 +297,29 @@ output.dir = {tmp_path / 'out'}
     assert re.search(r"^residual_v=0\b", out, re.M)
 
 
+@pytest.mark.parametrize("extra", ["", "beta_list = [2.0]\n"],
+                         ids=["no-beta", "beta_list-only"])
+def test_check_of_a_vector_state_requires_beta(coupled_run, tmp_path, extra):
+    # judged at β = 0, the β = 2 vector state would fail a misleading clause
+    root, _, _ = coupled_run
+    conf = write_conf(tmp_path / "c.conf",
+                      f"f.family = cubic\ngrid.N = 1600\n{extra}")
+    code, out, err = run_cli("check", conf, str(root / "out" / "state.csv"))
+    assert code == 1 and out == ""
+    assert "config error" in err and "beta is required" in err
+
+
+def test_check_of_a_state_with_a_zero_component_needs_no_beta(tmp_path,
+                                                              cubic_scalar):
+    # the coupling terms vanish with either component, so β cannot matter
+    conf = write_conf(tmp_path / "c.conf", "f.family = cubic\n")
+    w = cubic_scalar.profile
+    write_state_csv(State(Profile.zero(w.grid), w), tmp_path / "v.csv")
+    code, out, err = run_cli("check", conf, str(tmp_path / "v.csv"))
+    assert code == 0, err
+    assert re.search(r"^morse_index=1$", out, re.M)
+
+
 def test_a_coarse_scalar_profile_fails_check_where_coupled_passes(tmp_path):
     # at R = 20 the cubic's scalar profile misses the Pohozaev clause by the
     # quadrature's O(h²) up to N = 2000 (|J| = 9.9e-5 against 5.8e-5 here);

@@ -10,39 +10,18 @@ import nlsground.energy as energy_mod
 import nlsground.scalar as scalar_mod
 from nlsground.energy import (EnergyParams, energy_I, morse_index, pohozaev_J,
                               project_pohozaev)
-from nlsground.errors import (Blowup, BracketFailure, NoConvergence,
-                              NonpositiveAmplitude, NumericalError)
+from nlsground.errors import BracketFailure, NoConvergence, NumericalError
 from nlsground.grid import Profile, RadialGrid, State, kinetic
 from nlsground.nonlinearity import cubic, log_enhanced, power_sum
-from nlsground.scalar import (Outcome, ScalarGroundState, ShootingConfig,
-                              _bisect_amplitude, shoot, solve_scalar)
+from nlsground.scalar import (ScalarGroundState, _bisect_amplitude, _integrate,
+                              solve_scalar)
 from conftest import CUBIC_ACTION, CUBIC_CENTER
 
 
 def test_shoot_classifies_amplitudes():
     nl = cubic()
-    low = shoot(nl, 2.0)
-    assert low.outcome is Outcome.TURNS_UP
-    assert low.radius is not None and low.radius > 0.0
-    high = shoot(nl, 10.0)
-    assert high.outcome is Outcome.CROSSES
-    assert high.radius is not None and high.radius > 0.0
-
-
-def test_shoot_rejects_nonpositive_amplitude():
-    with pytest.raises(NonpositiveAmplitude):
-        shoot(cubic(), 0.0)
-    with pytest.raises(NonpositiveAmplitude):
-        shoot(cubic(), -3.0)
-
-
-def test_shooting_config_validation():
-    with pytest.raises(ValueError):
-        ShootingConfig(a_min=2.0, a_max=1.0)
-    with pytest.raises(ValueError):
-        ShootingConfig(a_min=-1.0, a_max=1.0)
-    with pytest.raises(ValueError):
-        ShootingConfig(ode_step=0.0)
+    assert _integrate(nl, 2.0) is False     # turns back up
+    assert _integrate(nl, 10.0) is True     # crosses zero
 
 
 def test_solve_scalar_cubic_matches_oracles(cubic_scalar):
@@ -79,11 +58,10 @@ def test_solve_scalar_deterministic():
 
 
 def test_bracket_without_transition_fails():
-    # every amplitude below the critical one turns up: no sign change to find
-    g = RadialGrid(R=20.0, N=500)
+    # f == 0: every positive trajectory turns up, so no end of the bracket
+    # crosses
     with pytest.raises(BracketFailure):
-        _bisect_amplitude(cubic(), ShootingConfig(a_min=0.1, a_max=2.0,
-                                                  ode_step=g.h / 4.0))
+        _bisect_amplitude(power_sum([]))
 
 
 def test_linear_equation_has_no_ground_state():
@@ -105,14 +83,10 @@ def test_solve_scalar_small_grid_consistency():
     pytest.param(power_sum([(1.0, 2.0), (0.5, 3.5)]), 160, True, id="nl1-160"),
 ])
 def test_blowup_counts_as_overshoot(nl, N, resolved):
-    # the RK4 trajectory from a = a_max = 50 leaves the trust region; the
-    # public `shoot` reports that, while the amplitude bracket treats it as
-    # an overshoot and still brackets a transition
+    # the RK4 trajectory from the bracket's top a = 50 leaves the trust
+    # region, which counts as an overshoot
     g = RadialGrid(R=20.0, N=N)
-    cfg = ShootingConfig(ode_step=g.h / 4.0)
-    with pytest.raises(Blowup):
-        shoot(nl, 50.0, cfg)
-    assert cfg.a_min < _bisect_amplitude(nl, cfg) < cfg.a_max
+    assert _integrate(nl, 50.0, g.h / 4.0) is True
     if not resolved:
         # h = 0.05 under-resolves the p = 4.5 core: the discrete critical
         # point that the shooting amplitude seeds has Morse index 0
@@ -131,13 +105,19 @@ def test_underresolved_core_names_amplitude_and_step():
         solve_scalar(power_sum([(1.0, 4.9)]), RadialGrid(R=20.0, N=4000))
 
 
-@pytest.mark.parametrize("nl", [log_enhanced(),
-                                power_sum([(1.0, 2.0), (0.5, 3.5)])],
-                         ids=["log_enhanced", "power_sum"])
-def test_center_matches_rk4_reference(nl):
-    # the fixed-step RK4 bisection is an independent solver of the same ODE
+@pytest.mark.parametrize("nl, a_ref", [
+    pytest.param(cubic(), 4.3373876803802, id="cubic"),
+    pytest.param(log_enhanced(), 3.421732833354326, id="log_enhanced"),
+    pytest.param(power_sum([(1.0, 2.0), (0.5, 3.5)]), 3.4877423898899,
+                 id="power_sum"),
+])
+def test_center_matches_rk4_reference(nl, a_ref):
+    # the fixed-step RK4 bisection is an independent solver of the same ODE;
+    # its w(0) is pinned to the bit
+    assert _bisect_amplitude(nl) == a_ref
+    if nl == cubic():
+        assert abs(a_ref - CUBIC_CENTER) <= 1e-9 * CUBIC_CENTER
     g = RadialGrid(R=20.0, N=4000)
-    a_ref = _bisect_amplitude(nl, ShootingConfig(ode_step=g.h / 4.0))
     assert solve_scalar(nl, g).center_value == pytest.approx(a_ref, rel=1e-3)
 
 
