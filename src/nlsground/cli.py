@@ -42,9 +42,11 @@ def _atomic_write(path: Path, write) -> None:
     On any failure the temp file is removed, so no `*.tmp` is left behind.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
+    os.umask(umask := os.umask(0))      # read by setting it, then put back
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     os.close(fd)
     try:
+        os.chmod(tmp, 0o666 & ~umask)   # the mode open() gives, not 0o600
         write(tmp)
         os.replace(tmp, path)
     except BaseException:
@@ -73,7 +75,7 @@ def cmd_coupled(cfg: RunConfig) -> int:
     if cfg.beta is None:
         raise ConfigError("beta is required for the coupled command")
     params = EnergyParams(cfg.f, cfg.g, cfg.beta)
-    gs = solve_coupled(params, cfg.grid, cfg.solver)
+    gs = solve_coupled(params, cfg.grid)
     rep = certify(gs, params)   # before any write: exit 3 leaves no state
     out = cfg.output_dir
     _atomic_write(out / "state.csv", lambda p: write_state_csv(gs.state, p))
@@ -101,7 +103,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.beta_list:
         raise ConfigError("a non-empty beta_list is required for sweep")
     params = EnergyParams(cfg.f, cfg.g, cfg.beta_list[0])
-    res = sweep(params, list(cfg.beta_list), cfg.grid, cfg.solver)
+    res = sweep(params, list(cfg.beta_list), cfg.grid)
     _atomic_write(cfg.output_dir / "sweep.csv", lambda p: _write_sweep_csv(res, p))
     if res.beta0_bracket is not None:
         lo, hi = res.beta0_bracket

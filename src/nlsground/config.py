@@ -32,13 +32,13 @@ class RunConfig:
     beta: float | None
     beta_list: tuple[float, ...] | None
     output_dir: Path
-    solver: SolveConfig
 
 
 def _parse_value(raw: str):
-    try:
+    try:    # a literal may hold a quoted `#` and end in a `# comment`
         return ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
+    except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError):
+        raw = raw.split("#", 1)[0]      # a bare word ends at a comment
         word = raw.strip()
         if word and all(c.isalnum() or c in "_./-" for c in word):
             return word
@@ -48,12 +48,12 @@ def _parse_value(raw: str):
 def _parse_lines(text: str) -> dict[str, object]:
     pairs: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        head = line.split("#", 1)[0]
+        if not head.strip():
             continue
-        if "=" not in stripped:
+        if "=" not in head:
             raise ConfigError(f"line {lineno}: expected `key = value`")
-        key, raw = stripped.split("=", 1)
+        key, raw = line.split("=", 1)   # the `=` is in `head`, before any `#`
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
@@ -149,15 +149,14 @@ def parse_config(text: str) -> RunConfig:
         if sorted(beta_list) != list(beta_list):
             raise ConfigError("beta_list must be sorted ascending")
 
-    try:
-        solver = SolveConfig(seed=pairs.get("seed", 0))
+    try:    # checked, not kept: the seed steers nothing in a solve
+        SolveConfig(seed=pairs.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     return RunConfig(
         grid=grid, f=f, g=g, beta=beta, beta_list=beta_list,
-        output_dir=Path(str(pairs.get("output.dir", "."))),
-        solver=solver)
+        output_dir=Path(str(pairs.get("output.dir", "."))))
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -148,7 +148,7 @@ def certify(gs: GroundState | State, params: EnergyParams) -> EnergyReport:
     rep = energy_report(state, params)
     # the trivial solution meets every clause below, and so does a state
     # that is zero on every node of positive weight (M = 0, but K > 0)
-    M = integrate(state.grid, state.u.values ** 2 + state.v.values ** 2)
+    M = rep.normH1_sq - rep.K
     if rep.K == 0.0 or M == 0.0:
         raise CertificationFailure("nontrivial", f"K={rep.K:.3e}, M={M:.3e}: "
                                    "zero on every weighted node")

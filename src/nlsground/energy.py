@@ -37,7 +37,7 @@ products by 1 and |y|² read as y·y, which are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,8 +83,8 @@ class EnergyReport:
     residual_v: float
 
     def lines(self) -> str:
-        keys = ("I", "J", "K", "W", "normH1_sq", "residual_u", "residual_v")
-        return "\n".join(f"{k}={format(getattr(self, k), '.17g')}" for k in keys)
+        return "\n".join(f"{f.name}={format(getattr(self, f.name), '.17g')}"
+                         for f in fields(self))
 
 
 def _carve(n: int, count: int, from_one: int = 0):

@@ -21,6 +21,7 @@ gradient to roundoff.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,16 @@ class RadialGrid:
             raise ValueError("R must be positive and finite")
         if N < 64:
             raise ValueError("N must be at least 64")
+        # 4πh³, πh, 4πR²h, 4πRN (= 4πR²/h) and 4πR³ bound the weights, fluxes
+        # and ball; outside the normal floats numpy would warn, or R² read 0
+        h = R / N
+        if not all(sys.float_info.min <= s <= sys.float_info.max for s in (
+                FOUR_PI * h * h * h, math.pi * h, FOUR_PI * R * R * h,
+                FOUR_PI * R * N, FOUR_PI * R * R * R)):
+            raise ValueError(f"R = {R:g}, N = {N}: weights leave the float range")
         self.R = R
         self.N = N
-        self.h = R / N
+        self.h = h
         self.r = np.linspace(0.0, R, N + 1)
         c = np.ones(N + 1)
         c[0] = c[-1] = 0.5

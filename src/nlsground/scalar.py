@@ -66,19 +66,18 @@ def _scalar_f(nl: Nonlinearity):
     return f
 
 
-def _integrate(nl: Nonlinearity, a: float,
-               dt: float = SHOOT_STEP) -> bool | None:
-    """RK4 march of (w, w') from r=0.  True if w crosses zero or |w| passes
-    `BLOWUP_LIMIT` (an overshoot), False if it turns back up, None if it
-    decays below `DECAY_FLOOR` or reaches `SHOOT_RADIUS`."""
+def _integrate(nl: Nonlinearity, a: float) -> bool | None:
+    """RK4 march of (w, w') from r=0 by `SHOOT_STEP`.  True if w crosses zero
+    or |w| passes `BLOWUP_LIMIT` (an overshoot), False if it turns back up,
+    None if it decays below `DECAY_FLOOR` or reaches `SHOOT_RADIUS`."""
     f = _scalar_f(nl)
+    dt, n_steps = SHOOT_STEP, round(SHOOT_RADIUS / SHOOT_STEP)
 
     def accel(r: float, y: float, p: float) -> float:
         if r == 0.0:
             return (y - f(y)) / 3.0
         return -2.0 * p / r + y - f(y)
 
-    n_steps = int(round(SHOOT_RADIUS / dt))
     y, p, r = a, 0.0, 0.0
     for _ in range(n_steps):
         k1y = p

@@ -70,8 +70,9 @@ def sweep(params_base: EnergyParams, beta_list: list[float], grid: RadialGrid,
           cfg: SolveConfig = SolveConfig()) -> SweepResult:
     """Solve for each β in turn, reusing the β-independent scalar baselines.
 
-    A failed row (solver exception) is recorded with its message and NaN
-    energy instead of aborting the remaining rows.
+    A failed row (solver exception) keeps its message and NaN energy, and
+    the other rows still run.  The bracket is the first adjacent pair of
+    solved rows that differ in vector-ness.
     """
     if not all(0.0 < b < math.inf for b in beta_list):
         raise ValueError("beta values must be positive and finite")
@@ -89,26 +90,16 @@ def sweep(params_base: EnergyParams, beta_list: list[float], grid: RadialGrid,
         lhs, _, _ = compare_energies(params, base_u, base_v)
         try:
             gs = solve_coupled(params, grid, cfg, baselines=(base_u, base_v))
+            m, kind, error = gs.m, gs.kind, None
         except NumericalError as exc:
-            rows.append(SweepRow(beta=beta, m=math.nan, kind=None,
-                                 scalar_min=scalar_min, lhs_bound=lhs,
-                                 vector_beats_scalar=False, error=str(exc)))
-            continue
-        rows.append(SweepRow(
-            beta=beta, m=gs.m, kind=gs.kind, scalar_min=scalar_min,
-            lhs_bound=lhs,
-            vector_beats_scalar=gs.m < scalar_min - 1e-9))
+            m, kind, error = math.nan, None, str(exc)
+        rows.append(SweepRow(beta=beta, m=m, kind=kind, scalar_min=scalar_min,
+                             lhs_bound=lhs, error=error,
+                             vector_beats_scalar=m < scalar_min - 1e-9))
 
-    bracket = None
-    prev = None
-    for row in rows:
-        if row.kind is None:
-            continue
-        if prev is not None and ((prev.kind is Kind.VECTOR)
-                                 != (row.kind is Kind.VECTOR)):
-            bracket = (prev.beta, row.beta)
-            break
-        prev = row
+    vec = [(r.beta, r.kind is Kind.VECTOR) for r in rows if r.kind is not None]
+    bracket = next(((a, b) for (a, x), (b, y) in zip(vec, vec[1:]) if x != y),
+                   None)
     return SweepResult(rows=tuple(rows), beta0_bracket=bracket)
 
 

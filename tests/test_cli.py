@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -407,6 +409,35 @@ def test_unallocatable_grid_exits_1(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error: grid: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("R", ["1e-300", "1e200"])
+def test_grid_past_the_float_range_exits_1(R, tmp_path):
+    # R = 1e-300 divided by zero in the ball check, and R = 1e200 let numpy
+    # warn of overflow before the config error
+    conf = write_conf(tmp_path / "r.conf",
+                      f"f.family = cubic\ngrid.R = {R}\ngrid.N = 64\n")
+    proc = subprocess.run([sys.executable, "-m", "nlsground", "scalar", conf],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error: grid: R = ")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+def test_outputs_take_the_mode_open_gives(tmp_path):
+    # 0o666 less the umask, not the temp file's 0o600
+    for umask, mode in [(0o022, 0o644), (0o077, 0o600)]:
+        out = tmp_path / f"out{umask:o}"
+        conf = write_conf(tmp_path / "s.conf",
+                          f"f.family = cubic\ngrid.N = 800\noutput.dir = {out}\n")
+        old = os.umask(umask)
+        try:
+            code, _, err = run_cli("scalar", conf)
+        finally:
+            os.umask(old)
+        assert code == 0, err
+        for name in ("u0.csv", "u0.report"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == mode, name
 
 
 @pytest.mark.parametrize("command, key, value", [

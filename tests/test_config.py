@@ -15,7 +15,6 @@ def test_minimal_config_defaults():
     assert cfg.g is cfg.f
     assert cfg.beta is None
     assert cfg.beta_list is None
-    assert cfg.solver.seed == 0
     assert cfg.output_dir == Path(".")
 
 
@@ -41,7 +40,6 @@ output.dir = runs/demo
     assert cfg.beta == 1.5
     assert cfg.beta_list == (0.5, 1.0, 2.0)
     assert cfg.output_dir == Path("runs/demo")
-    assert cfg.solver.seed == 7
 
 
 def test_distinct_g_family():
@@ -70,6 +68,10 @@ def test_distinct_g_family():
     ("f.family = cubic\nbeta = 1e999\n", "beta must be finite"),
     ("f.family = cubic\nbeta_list = [0.5, 1e999]\n", "entries must be finite"),
     ("f.family = cubic\ngrid.R = 1e999\n", "grid: R must be positive and finite"),
+    # weights or fluxes past the float range: no division by zero, and no
+    # numpy overflow warning first
+    ("f.family = cubic\ngrid.R = 1e-300\ngrid.N = 64\n", "^grid: "),
+    ("f.family = cubic\ngrid.R = 1e200\ngrid.N = 64\n", "^grid: "),
     # malformed nonlinearity values are config errors, not tracebacks
     ("f.family = log_enhanced\nf.amplitude = [1]\n", "^f: "),
     ("f.family = power_sum\nf.terms = [None]\n", "^f: "),
@@ -122,6 +124,13 @@ def test_distinct_g_family():
     ("f.family cubic\n", "key = value"),
     (" = 3\nf.family = cubic\n", "empty key"),
     ("f.family = @!\n", "cannot parse"),
+    # the literal parser's TypeError, RecursionError and MemoryError
+    ("f.family = cubic\nbeta = {[1]: 2}\n", "cannot parse"),
+    pytest.param("f.family = cubic\nbeta = " + "-" * 5000 + "1\n",
+                 "beta must be a number", id="beta-nested-5000-deep"),
+    pytest.param("f.family = cubic\nbeta = " + "-" * 20000 + "1\n",
+                 "beta must be a number", id="beta-nested-20000-deep"),
+    ('f.family = cubic\noutput.dir = "runs/#1\n', "cannot parse"),
     ("f.family = cubic\nseed = -1\n", "seed must be >= 0"),
     # the budget is a `SolveConfig` field only; the one descent start is
     # fixed in code, with no strategy or random-start count to choose
@@ -169,6 +178,11 @@ def test_comments_and_blank_lines_ignored():
 def test_quoted_string_values():
     cfg = parse_config('f.family = "cubic"\noutput.dir = "runs/a b"\n')
     assert cfg.output_dir == Path("runs/a b")
+
+
+def test_quoted_hash_is_not_a_comment():
+    cfg = parse_config('f.family = cubic\noutput.dir = "runs/#1"  # note\n')
+    assert cfg.output_dir == Path("runs/#1")
 
 
 def test_load_config_reads_file(tmp_path):

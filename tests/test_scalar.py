@@ -86,7 +86,7 @@ def test_blowup_counts_as_overshoot(nl, N, resolved):
     # the RK4 trajectory from the bracket's top a = 50 leaves the trust
     # region, which counts as an overshoot
     g = RadialGrid(R=20.0, N=N)
-    assert _integrate(nl, 50.0, g.h / 4.0) is True
+    assert _integrate(nl, 50.0) is True
     if not resolved:
         # h = 0.05 under-resolves the p = 4.5 core: the discrete critical
         # point that the shooting amplitude seeds has Morse index 0
