@@ -154,14 +154,17 @@ def parse_config(text: str) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    return RunConfig(
-        grid=grid, f=f, g=g, beta=beta, beta_list=beta_list,
-        output_dir=Path(str(pairs.get("output.dir", "."))))
+    out = pairs.get("output.dir", ".")
+    if not isinstance(out, str) or not out or "\0" in out:   # NUL: no path
+        raise ConfigError(f"output.dir must be a non-empty string, got {out!r}")
+
+    return RunConfig(grid=grid, f=f, g=g, beta=beta, beta_list=beta_list,
+                     output_dir=Path(out))
 
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)

@@ -45,8 +45,7 @@ class NumericalError(RuntimeError):
 
 class BracketFailure(NumericalError):
     """No amplitude to start from: no start amplitude of `solve_scalar`
-    gives W > 0, or the RK4 reference's `SHOOT_BRACKET` holds no
-    turn-up/crossing transition."""
+    gives W > 0."""
 
 
 class NoConvergence(NumericalError):

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 import nlsground.coupled as coupled_mod
 from nlsground.coupled import Kind, solve_coupled
@@ -23,6 +22,7 @@ from nlsground.nonlinearity import (check_assumptions, cubic, eval_F, eval_f,
                                     log_enhanced)
 from nlsground.scalar import solve_scalar
 from nlsground.threshold import bisect_beta0, compare_energies
+import oracle
 from conftest import (AMP3_PROJECTED, AMP3_TBAR, CUBIC_CENTER, gaussian_bumps)
 
 
@@ -128,45 +128,8 @@ def test_criterion_03_gaussian_closed_forms(capsys, grid):
     assert ok
 
 
-def _live_shooting_oracle() -> float:
-    """Independent adaptive-RK bisection for the cubic center amplitude."""
-
-    def classify(a: float) -> str:
-        def rhs(r, y):
-            return [y[1], -2.0 * y[1] / r + y[0] - y[0] ** 3]
-
-        r0 = 1e-8
-        y0 = [a + (a - a ** 3) * r0 ** 2 / 6.0, (a - a ** 3) * r0 / 3.0]
-        crossed = lambda r, y: y[0]
-        crossed.terminal = True
-        crossed.direction = -1
-        turned = lambda r, y: y[1]
-        turned.terminal = True
-        turned.direction = 1
-        sol = solve_ivp(rhs, (r0, 20.0), y0, rtol=1e-12, atol=1e-14,
-                        events=(crossed, turned))
-        if sol.t_events[0].size:
-            return "crosses"
-        if sol.t_events[1].size:
-            return "turns_up"
-        return "decays"
-
-    lo, hi = 4.0, 4.5
-    assert classify(lo) == "turns_up" and classify(hi) == "crosses"
-    for _ in range(45):
-        mid = 0.5 * (lo + hi)
-        out = classify(mid)
-        if out == "crosses":
-            hi = mid
-        elif out == "turns_up":
-            lo = mid
-        else:
-            return mid
-    return 0.5 * (lo + hi)
-
-
 def test_criterion_04_cubic_scalar_benchmark(capsys, grid, cubic_scalar):
-    a_live = _live_shooting_oracle()
+    a_live = oracle.center(cubic())
     oracle_drift = abs(a_live - CUBIC_CENTER)
     rel = abs(cubic_scalar.center_value - a_live) / a_live
     params = EnergyParams(cubic(), cubic(), 0.0)

@@ -411,6 +411,26 @@ def test_unallocatable_grid_exits_1(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("body, message", [
+    pytest.param(b"\xff\xfe", "cannot read config", id="not-utf8"),
+    pytest.param(b"f.family = cubic\noutput.dir = None\n", "output.dir",
+                 id="output.dir-None"),
+])
+def test_unreadable_config_exits_1(body, message, tmp_path):
+    # bytes that are not UTF-8 raised UnicodeDecodeError, and a non-string
+    # output.dir wrote into a directory named `None`
+    conf = tmp_path / "c.conf"
+    conf.write_bytes(body)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "nlsground", "scalar",
+                           str(conf)], capture_output=True, text=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"config error: {message}")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "None").exists()
+
+
 @pytest.mark.parametrize("R", ["1e-300", "1e200"])
 def test_grid_past_the_float_range_exits_1(R, tmp_path):
     # R = 1e-300 divided by zero in the ball check, and R = 1e200 let numpy

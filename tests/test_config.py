@@ -80,7 +80,7 @@ def test_distinct_g_family():
     ("f.family = cubic\nseed = False\n", "integer"),
     ("f.family = cubic\nf.bogus = 1\n", "unknown f"),
     ("f.family = cubic\nsolver.grad_tol = -1\n", "unknown keys"),
-    # the shooting bracket configures only the RK4 oracle, not a run
+    # no solve shoots, so no shooting key configures a run
     ("f.family = cubic\nshooting.a_min = 5\nshooting.a_max = 1\n", "unknown keys"),
     ("f.family = cubic\nshooting.a_min = 0.5\n", "unknown keys"),
     ("f.family = cubic\nshooting.a_max = 30.0\n", "unknown keys"),
@@ -131,6 +131,13 @@ def test_distinct_g_family():
     pytest.param("f.family = cubic\nbeta = " + "-" * 20000 + "1\n",
                  "beta must be a number", id="beta-nested-20000-deep"),
     ('f.family = cubic\noutput.dir = "runs/#1\n', "cannot parse"),
+    # output.dir names a directory: a string, not empty and without a NUL
+    *(pytest.param(f"f.family = cubic\noutput.dir = {raw}\n",
+                   "^output.dir must be a non-empty string",
+                   id=f"output.dir-{name}")
+      for name, raw in [("None", "None"), ("list", "[1]"), ("bytes", "b'x'"),
+                        ("int", "5"), ("bool", "True"), ("empty", '""'),
+                        ("nul", '"a\\x00b"')]),
     ("f.family = cubic\nseed = -1\n", "seed must be >= 0"),
     # the budget is a `SolveConfig` field only; the one descent start is
     # fixed in code, with no strategy or random-start count to choose

@@ -13,15 +13,9 @@ from nlsground.energy import (EnergyParams, energy_I, morse_index, pohozaev_J,
 from nlsground.errors import BracketFailure, NoConvergence, NumericalError
 from nlsground.grid import Profile, RadialGrid, State, kinetic
 from nlsground.nonlinearity import cubic, log_enhanced, power_sum
-from nlsground.scalar import (ScalarGroundState, _bisect_amplitude, _integrate,
-                              solve_scalar)
+from nlsground.scalar import ScalarGroundState, solve_scalar
+import oracle
 from conftest import CUBIC_ACTION, CUBIC_CENTER
-
-
-def test_shoot_classifies_amplitudes():
-    nl = cubic()
-    assert _integrate(nl, 2.0) is False     # turns back up
-    assert _integrate(nl, 10.0) is True     # crosses zero
 
 
 def test_solve_scalar_cubic_matches_oracles(cubic_scalar):
@@ -57,13 +51,6 @@ def test_solve_scalar_deterministic():
     assert a.center_value == b.center_value
 
 
-def test_bracket_without_transition_fails():
-    # f == 0: every positive trajectory turns up, so no end of the bracket
-    # crosses
-    with pytest.raises(BracketFailure):
-        _bisect_amplitude(power_sum([]))
-
-
 def test_linear_equation_has_no_ground_state():
     # f == 0 leaves -Δw + w = 0, whose positive trajectories all turn up
     with pytest.raises(BracketFailure):
@@ -83,13 +70,10 @@ def test_solve_scalar_small_grid_consistency():
     pytest.param(power_sum([(1.0, 2.0), (0.5, 3.5)]), 160, True, id="nl1-160"),
 ])
 def test_blowup_counts_as_overshoot(nl, N, resolved):
-    # the RK4 trajectory from the bracket's top a = 50 leaves the trust
-    # region, which counts as an overshoot
     g = RadialGrid(R=20.0, N=N)
-    assert _integrate(nl, 50.0) is True
     if not resolved:
         # h = 0.05 under-resolves the p = 4.5 core: the discrete critical
-        # point that the shooting amplitude seeds has Morse index 0
+        # point that the descent reaches has Morse index 0
         with pytest.raises(NoConvergence):
             solve_scalar(nl, g)
         return
@@ -106,17 +90,20 @@ def test_underresolved_core_names_amplitude_and_step():
 
 
 @pytest.mark.parametrize("nl, a_ref", [
-    pytest.param(cubic(), 4.3373876803802, id="cubic"),
-    pytest.param(log_enhanced(), 3.421732833354326, id="log_enhanced"),
-    pytest.param(power_sum([(1.0, 2.0), (0.5, 3.5)]), 3.4877423898899,
+    pytest.param(cubic(), 4.3373876799760005, id="cubic"),
+    pytest.param(log_enhanced(), 3.4217328327146985, id="log_enhanced"),
+    pytest.param(power_sum([(1.0, 2.0), (0.5, 3.5)]), 3.4877423861131174,
                  id="power_sum"),
 ])
-def test_center_matches_rk4_reference(nl, a_ref):
-    # the fixed-step RK4 bisection is an independent solver of the same ODE;
-    # its w(0) is pinned to the bit
-    assert _bisect_amplitude(nl) == a_ref
+def test_center_matches_shooting_oracle(nl, a_ref):
+    # the adaptive shooting is an independent solver of the same ODE; its
+    # w(0) is pinned to 1e-10, not to the bit, across scipy versions
+    a = oracle.center(nl)
+    assert a == pytest.approx(a_ref, rel=1e-10, abs=0.0)
     if nl == cubic():
         assert abs(a_ref - CUBIC_CENTER) <= 1e-9 * CUBIC_CENTER
+        # every trajectory it tries crosses or turns up before r = 20
+        assert oracle.center(nl, r_end=25.0) == a
     g = RadialGrid(R=20.0, N=4000)
     assert solve_scalar(nl, g).center_value == pytest.approx(a_ref, rel=1e-3)
 
