@@ -155,8 +155,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     out = pairs.get("output.dir", ".")
-    if not isinstance(out, str) or not out or "\0" in out:   # NUL: no path
-        raise ConfigError(f"output.dir must be a non-empty string, got {out!r}")
+    if not isinstance(out, str) or not out or "\0" in out:
+        raise ConfigError("output.dir must be a non-empty string without NUL, "
+                          f"got {out!r}")
 
     return RunConfig(grid=grid, f=f, g=g, beta=beta, beta_list=beta_list,
                      output_dir=Path(out))

@@ -14,7 +14,7 @@ import math
 from scipy.integrate import solve_ivp
 
 R0 = 1e-8           # the march starts here, off the r = 0 singularity
-R_END = 20.0        # a trajectory that neither crosses nor turns up by here decays
+R_END = 20.0        # every trajectory crosses or turns up before here
 BRACKET = (0.1, 50.0)   # its low end must turn up and its high end cross
 
 
@@ -39,36 +39,29 @@ _crossed.terminal = _turned.terminal = True
 _crossed.direction, _turned.direction = -1, 1
 
 
-def crosses(f, a: float, r_end: float = R_END) -> bool | None:
+def crosses(f, a: float) -> bool:
     """True if the trajectory from w(0) = a crosses zero, False if it turns
-    back up, None if it does neither before `r_end`."""
+    back up; one of the two must happen before `R_END`."""
     def rhs(r, y):
         return [y[1], -2.0 * y[1] / r + y[0] - f(y[0])]
 
     s = a - f(a)    # w = a + s r²/6 + O(r⁴) near the origin
-    sol = solve_ivp(rhs, (R0, r_end), [a + s * R0 ** 2 / 6.0, s * R0 / 3.0],
+    sol = solve_ivp(rhs, (R0, R_END), [a + s * R0 ** 2 / 6.0, s * R0 / 3.0],
                     method="DOP853", rtol=1e-12, atol=1e-14,
                     events=(_crossed, _turned))
-    assert sol.status >= 0, sol.message
-    if sol.t_events[0].size:
-        return True
-    if sol.t_events[1].size:
-        return False
-    return None
+    assert sol.status == 1, f"a={a!r}: no crossing or turn-up by r={R_END}"
+    return sol.t_events[0].size > 0
 
 
-def center(nl, r_end: float = R_END) -> float:
+def center(nl) -> float:
     """The oracle's w(0): bisect `BRACKET` until hi − lo ≤ 1e-12·hi."""
     f = scalar_f(nl)
     lo, hi = BRACKET
-    assert (crosses(f, lo, r_end), crosses(f, hi, r_end)) == (False, True), \
+    assert (crosses(f, lo), crosses(f, hi)) == (False, True), \
         f"no turn-up/crossing transition in {BRACKET}"
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        out = crosses(f, mid, r_end)
-        if out is None:
-            return mid
-        if out:
+        if crosses(f, mid):
             hi = mid
         else:
             lo = mid

@@ -133,7 +133,7 @@ def test_distinct_g_family():
     ('f.family = cubic\noutput.dir = "runs/#1\n', "cannot parse"),
     # output.dir names a directory: a string, not empty and without a NUL
     *(pytest.param(f"f.family = cubic\noutput.dir = {raw}\n",
-                   "^output.dir must be a non-empty string",
+                   "^output.dir must be a non-empty string without NUL, got ",
                    id=f"output.dir-{name}")
       for name, raw in [("None", "None"), ("list", "[1]"), ("bytes", "b'x'"),
                         ("int", "5"), ("bool", "True"), ("empty", '""'),

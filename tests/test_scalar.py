@@ -70,6 +70,8 @@ def test_solve_scalar_small_grid_consistency():
     pytest.param(power_sum([(1.0, 2.0), (0.5, 3.5)]), 160, True, id="nl1-160"),
 ])
 def test_blowup_counts_as_overshoot(nl, N, resolved):
+    """solve_scalar on a power sum at a coarse grid: NoConvergence where the
+    core is under-resolved, a positive state at residual 1e-14 where not."""
     g = RadialGrid(R=20.0, N=N)
     if not resolved:
         # h = 0.05 under-resolves the p = 4.5 core: the discrete critical
@@ -102,8 +104,6 @@ def test_center_matches_shooting_oracle(nl, a_ref):
     assert a == pytest.approx(a_ref, rel=1e-10, abs=0.0)
     if nl == cubic():
         assert abs(a_ref - CUBIC_CENTER) <= 1e-9 * CUBIC_CENTER
-        # every trajectory it tries crosses or turns up before r = 20
-        assert oracle.center(nl, r_end=25.0) == a
     g = RadialGrid(R=20.0, N=4000)
     assert solve_scalar(nl, g).center_value == pytest.approx(a_ref, rel=1e-3)
 
