@@ -1,6 +1,6 @@
-"""The four LAPACK routines the solvers call, from scipy's `_flapack` alone.
+"""The five LAPACK routines the solvers call, from scipy's `_flapack` alone.
 
-`energy` calls `dgbsv` and `dpbtrf`, `coupled` calls `dpttrf` and `dpttrs`.
+`energy` calls `dgbsv`, `dpbtrf` and `dsbev`; `coupled`, `dpttrf` and `dpttrs`.
 They live in scipy's compiled `linalg/_flapack` extension, which loads in a
 few milliseconds.  `import scipy.linalg` costs about 0.3 s more, most of it
 scipy's array-API layer and the `numpy.f2py` and `numpy.testing` it pulls
@@ -54,6 +54,7 @@ def _load():
 _flapack = _load()
 dgbsv = _flapack.dgbsv
 dpbtrf = _flapack.dpbtrf
+dsbev = _flapack.dsbev
 dpttrf = _flapack.dpttrf
 dpttrs = _flapack.dpttrs
 

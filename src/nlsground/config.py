@@ -121,7 +121,7 @@ def parse_config(text: str) -> RunConfig:
         g = f
 
     beta = pairs.get("beta")
-    if beta is not None:
+    if "beta" in pairs:     # a literal None is a value, not "unset"
         if not isinstance(beta, (int, float)) or isinstance(beta, bool):
             raise ConfigError("beta must be a number")
         try:
@@ -133,7 +133,7 @@ def parse_config(text: str) -> RunConfig:
         if not beta > 0.0:
             raise ConfigError(f"beta must be positive, got {beta}")
     beta_list = pairs.get("beta_list")
-    if beta_list is not None:
+    if "beta_list" in pairs:
         if (not isinstance(beta_list, (list, tuple))
                 or not all(isinstance(b, (int, float)) and not isinstance(b, bool)
                            for b in beta_list)):

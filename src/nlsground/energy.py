@@ -22,7 +22,7 @@ equation, which is the coupled one at v = 0 and β = 0 with the absent
 component's terms dropped.  The β·u²v² coupling is present only when there
 are two, or one whose `_Work` mirrors the pair (y, y).  Both
 linear-algebra kernels hand LAPACK a band in its own Fortran storage:
-`gbsv` for the Newton step and `pbtrf` for the index.
+`gbsv` for the Newton step, `pbtrf` (or `sbev`) for the index.
 `nlsground.coupled.certify` judges its states.
 
 A state is evaluated in a `_Work`, buffers allocated once per call: `_form`
@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._lapack import dgbsv, dpbtrf
+from ._lapack import dgbsv, dpbtrf, dsbev
 from .errors import NoConvergence, NoProjection, ZeroState
 from .grid import (Profile, State, _flux_laplacian, dilate_values, integrate,
                    kinetic)
@@ -253,8 +253,9 @@ def morse_index(grid, ys, params: EnergyParams) -> int:
     matrix W = diag(w), which approximate the linearised operator's; by
     Sylvester those below −INDEX_TOL are the non-positive pivots of
     H + INDEX_TOL·W, which `_count_nonpositive_pivots` counts with LAPACK
-    `pbtrf`.  A zero mode (the circle of cubic vector states at β = 1) is
-    not counted.  A ground state has index 1.
+    `pbtrf`, or `sbev` at a pivot within roundoff of zero, which no solver
+    state meets.  A zero mode (the circle of cubic vector states at β = 1)
+    is not counted.  A ground state has index 1.
     """
     N, c, beta = grid.N, len(ys), params.beta
     w = grid.w[1:N]
@@ -279,48 +280,36 @@ def morse_index(grid, ys, params: EnergyParams) -> int:
 
 
 def _count_nonpositive_pivots(band) -> int:
-    """Non-positive pivots of a symmetric band matrix, each counted once.
+    """Non-positive eigenvalues of a symmetric band matrix, by its pivots.
 
     `band` is the lower triangle in LAPACK's Fortran band storage (row k
-    the k-th subdiagonal, half-width kd = rows − 1); it is overwritten.
-    pbtrf's Cholesky stops at the first pivot d ≤ 0 and leaves the Schur
-    complement of the rows before it in the trailing band.  One Schur step
-    on a dense copy of the next 3kd + 1 rows (those it updates, up to 2kd,
-    and their band) eliminates the pivot: d < 0 on its own; d = 0 with the
-    first row m it couples to, a 2×2 pivot [[0, s], [s, a]] with one
-    negative eigenvalue (the −∞ pivot that follows a zero one in LDLᵀ), or
-    alone, inverse 0, when it couples to none.  pbtrf restarts on the band
-    the result is written back to.  By Sylvester's law the count is that of
-    the eigenvalues ≤ 0.
+    the k-th subdiagonal, half-width kd = rows − 1); it is not written.
+    pbtrf stops at the first pivot d ≤ 0 and leaves the trailing Schur
+    complement: d < 0 counts one, a 1×1 Schur step eliminates it, and
+    pbtrf restarts after it (Sylvester's law).  A pivot within 64ε·max|A|
+    of zero, passed (L_jj² ≤ 64ε·max|A|) or not, would cancel, as LDLᵀ
+    without pivoting does: LAPACK `sbev` then counts the eigenvalues
+    ≤ 64ε·max|A| of the band as given.
     """
     kd = band.shape[0] - 1
+    tiny = 64.0 * np.finfo(float).eps * float(np.max(np.abs(band), initial=0.0))
+    given, band = band, np.array(band, order="F")
     count = 0
     while band.shape[1]:
         band, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info == 0:
+        j = info - 1 if info else band.shape[1]     # the pivots pbtrf passed
+        if (j and band[0, :j].min() ** 2 <= tiny
+                or info and band[0, j] >= -tiny):
+            eig = dsbev(given, compute_v=0, lower=1, overwrite_ab=0)[0]
+            return int(np.count_nonzero(eig <= tiny))
+        if not info:
             break
         count += 1
-        band = band[:, info - 1:]           # the trailing Schur complement
-        size = min(3 * kd + 1, band.shape[1])
-        block = sum(np.diag(band[k, :size - k], -k)
-                    for k in range(min(kd + 1, size)))
-        block += np.tril(block, -1).T
-        d, coupled = block[0, 0], np.flatnonzero(block[0, 1:]) + 1
-        if d < 0.0 or not coupled.size:
-            piv, inv = [0], [[1.0 / d if d < 0.0 else 0.0]]
-        else:
-            m = coupled[0]
-            s, a = block[m, 0], block[m, m]
-            piv, inv = [0, m], [[-a / s / s, 1.0 / s], [1.0 / s, 0.0]]
-        rest = [r for r in range(size) if r not in piv]
-        cross = block[np.ix_(rest, piv)]
-        # Σ x_a·inv_ab·x_b, a then b: a matrix product rounds differently
-        schur = block[np.ix_(rest, rest)] - sum(
-            np.outer(cross[:, b], cross[:, a] * inv[a][b])
-            for a in range(len(piv)) for b in range(len(piv)))
-        band = band[:, len(piv):]
-        for k in range(min(kd + 1, len(rest))):
-            band[k, :len(rest) - k] = np.diagonal(schur, -k)
+        x, inv = band[1:, j], 1.0 / band[0, j]
+        band = band[:, j + 1:]              # the trailing Schur complement
+        m = min(kd, band.shape[1])
+        for k in range(m):                  # entry (r, q) less x_r·(x_q·(1/d))
+            band[k, :m - k] -= x[k:m] * (x[:m - k] * inv)
     return count
 
 

@@ -54,12 +54,16 @@ class RadialGrid:
         if N < 64:
             raise ValueError("N must be at least 64")
         # 4πh³, πh, 4πR²h, 4πRN (= 4πR²/h) and 4πR³ bound the weights, fluxes
-        # and ball; outside the normal floats numpy would warn, or R² read 0
+        # and ball; outside the normal floats numpy would warn, or R² read 0.
+        # The descent's first trial moves a node by about √N/h, and the
+        # action reads that to a power p + 1 < 6: (h²/N)³ must stay normal
         h = R / N
-        if not all(sys.float_info.min <= s <= sys.float_info.max for s in (
+        q = h * h / N
+        if not (all(sys.float_info.min <= s <= sys.float_info.max for s in (
                 FOUR_PI * h * h * h, math.pi * h, FOUR_PI * R * R * h,
-                FOUR_PI * R * N, FOUR_PI * R * R * R)):
-            raise ValueError(f"R = {R:g}, N = {N}: weights leave the float range")
+                FOUR_PI * R * N, FOUR_PI * R * R * R))
+                and sys.float_info.min <= q * q * q):
+            raise ValueError(f"R = {R:g}, N = {N}: grid scales leave the float range")
         self.R = R
         self.N = N
         self.h = h

@@ -146,12 +146,16 @@ def reference_morse_index(grid, ys, params) -> int:
 
 
 def reference_pivot_count(band) -> int:
-    """`energy._count_nonpositive_pivots` with its restart done entry by entry.
+    """Non-positive pivots of a band, each restart done entry by entry.
 
     After pbtrf stops at a pivot d ≤ 0, the band entries of the rows the
     pivot updates are formed one at a time from Python floats, each the
-    entry less Σ x_a·inv_ab·x_b over the pivot rows a, b in that order.
-    The dense Schur step must give the same count.
+    entry less Σ x_a·inv_ab·x_b over the pivot rows a, b in that order: d
+    alone when d < 0; d = 0 with the first row m it couples to, the 2×2
+    pivot [[0, s], [s, a]]; or d = 0 alone, inverse 0.  That 2×2 pivot is
+    not `energy._count_nonpositive_pivots`'s rule, which counts the
+    eigenvalues with `sbev` at a pivot within roundoff of zero; on the
+    test's random draws the two counts agree.
     """
     kd = band.shape[0] - 1
     count = 0

@@ -431,10 +431,11 @@ def test_unreadable_config_exits_1(body, message, tmp_path):
     assert not (tmp_path / "None").exists()
 
 
-@pytest.mark.parametrize("R", ["1e-300", "1e200"])
+@pytest.mark.parametrize("R", ["1e-300", "1e200", "1e-100", "1e-80"])
 def test_grid_past_the_float_range_exits_1(R, tmp_path):
-    # R = 1e-300 divided by zero in the ball check, and R = 1e200 let numpy
-    # warn of overflow before the config error
+    # R = 1e-300 divided by zero in the ball check, R = 1e200 let numpy
+    # warn of overflow before the config error, and R = 1e-100 and 1e-80
+    # overflowed in the descent's first trial
     conf = write_conf(tmp_path / "r.conf",
                       f"f.family = cubic\ngrid.R = {R}\ngrid.N = 64\n")
     proc = subprocess.run([sys.executable, "-m", "nlsground", "scalar", conf],

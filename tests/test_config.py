@@ -66,12 +66,19 @@ def test_distinct_g_family():
     ("f.family = cubic\nbeta_list = [1.0, -1.0]\n", "sorted|positive"),
     ("f.family = cubic\nbeta_list = 2.0\n", "list"),
     ("f.family = cubic\nbeta = 1e999\n", "beta must be finite"),
+    # a literal None is a value, not an unset key
+    ("f.family = cubic\nbeta = None\n", "^beta must be a number"),
+    ("f.family = cubic\nbeta_list = None\n", "^beta_list must be a list of numbers"),
     ("f.family = cubic\nbeta_list = [0.5, 1e999]\n", "entries must be finite"),
     ("f.family = cubic\ngrid.R = 1e999\n", "grid: R must be positive and finite"),
     # weights or fluxes past the float range: no division by zero, and no
     # numpy overflow warning first
     ("f.family = cubic\ngrid.R = 1e-300\ngrid.N = 64\n", "^grid: "),
     ("f.family = cubic\ngrid.R = 1e200\ngrid.N = 64\n", "^grid: "),
+    # a step of √N/h read to the sixth power past the float range: no
+    # overflow warning from the descent's first trial
+    ("f.family = cubic\ngrid.R = 1e-100\ngrid.N = 64\n", "^grid: "),
+    ("f.family = cubic\ngrid.R = 1e-80\ngrid.N = 64\n", "^grid: "),
     # malformed nonlinearity values are config errors, not tracebacks
     ("f.family = log_enhanced\nf.amplitude = [1]\n", "^f: "),
     ("f.family = power_sum\nf.terms = [None]\n", "^f: "),

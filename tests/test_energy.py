@@ -538,12 +538,10 @@ def test_pivot_count_matches_the_entrywise_reference():
                 == reference_pivot_count(band))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP M1: an exact zero in a "
-                   "trailing Schur complement, rounded to ±ε, is miscounted")
 def test_pivot_count_survives_a_zero_in_a_trailing_complement():
     # the recipe above, replayed to its draws 1784, 6033 and 7157 of a
     # 20,000-draw census: kd = 2, integer entries, n = 39, 10 and 17, no
-    # eigenvalue near 0; the count reads 19, 6 and 10, one too many
+    # eigenvalue near 0; LDLᵀ without pivoting read 19, 6 and 10
     rng = np.random.default_rng(26)
     counts = {}
     for trial in range(7158):
@@ -559,6 +557,28 @@ def test_pivot_count_survives_a_zero_in_a_trailing_complement():
                 energy_mod._count_nonpositive_pivots(band.copy(order="F")),
                 int((np.linalg.eigvalsh(dense) <= 0.0).sum()))
     assert counts == {1784: (18, 18), 6033: (5, 5), 7157: (9, 9)}
+
+
+def test_solver_states_are_counted_by_pivots_alone(monkeypatch, grid,
+                                                   cubic_scalar):
+    # sbev takes about a second on a solver band of 7,998 rows: no state
+    # the solvers return may meet a pivot within roundoff of zero
+    banded = []
+    real = energy_mod.dsbev
+    monkeypatch.setattr(energy_mod, "dsbev",
+                        lambda ab, **kw: banded.append(ab.shape) or real(ab, **kw))
+    assert energy_mod._count_nonpositive_pivots(
+        _band(np.array([[0.0, 1.0], [1.0, 2.0]]), 1)) == 1
+    assert banded == [(2, 2)]
+    banded.clear()
+    for nl in _CATALOG:
+        w = solve_scalar(nl, grid).profile.values
+        assert morse_index(grid, (w,), EnergyParams(nl, nl, 0.0)) == 1
+    for beta in (0.5, 0.99, 1.01, 2.0):
+        params = EnergyParams(cubic(), cubic(), beta)
+        gs = solve_coupled(params, grid, baselines=(cubic_scalar, cubic_scalar))
+        assert morse_index(grid, gs.state.values, params) == 1
+    assert banded == []
 
 
 def _same_bits(got, want):

@@ -1,8 +1,8 @@
 """`nlsground._lapack` loads scipy's `_flapack` extension without `scipy.linalg`.
 
 A fresh interpreter that imports the package or runs the CLI must not pay
-for `import scipy.linalg`, and the four routines must be scipy's own
-objects, from the file or, where it is not found, through `scipy.linalg`.
+for `import scipy.linalg`, and the routines must be scipy's own objects,
+from the file or, where it is not found, through `scipy.linalg`.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import scipy.linalg.lapack
 
 import nlsground._lapack as lapack_mod
 
-ROUTINES = ("dgbsv", "dpbtrf", "dpttrf", "dpttrs")
+ROUTINES = ("dgbsv", "dpbtrf", "dpttrf", "dpttrs", "dsbev")
 
 
 def _imported(args: list[str]) -> set[str]:
